@@ -7,7 +7,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 SMOKE_OUT   := .smoke-out
 SMOKE_CACHE := .smoke-cache
 
+# Seed for `make bench-e2e` (see BENCHMARK.json and e2ebench/NOTES.md).
+SEED        ?= 0
+
 .PHONY: test benchmarks bench-json perf-gate perf-baseline profile-hotpath \
+	bench-e2e bench-e2e-digests \
 	experiments experiments-smoke faults-smoke remote-smoke \
 	obs-smoke obs-overhead envelope-smoke fleet-smoke chaos-smoke \
 	chaos-stress docs-check verify-integrity golden-check \
@@ -42,6 +46,43 @@ perf-gate: bench-json
 perf-baseline: bench-json
 	cp .bench-current.json BENCH_simulator.json
 	@echo "perf baseline updated: BENCH_simulator.json"
+
+# The repository benchmark: both BENCHMARK.json workloads at one seed,
+# end to end (--trace 0) and per layer (--trace 1), for BENCHMARK.json's
+# run_seconds (20).  Each run prints its JSON result line; the target
+# fails if any run errors or is not "correct" (outputs differ from
+# e2ebench/reference.json).  Expected to fail until reference.json's
+# ext-fleet digests are re-recorded: ext-fleet's payload no longer
+# carries provenance.code_version, so every reproduction run reports
+# "correct": false.  No CI or verify target depends on it.
+E2E_CHECK = import json, sys; \
+	result = json.loads(sys.stdin.read().strip().splitlines()[-1]); \
+	print(json.dumps(result)); sys.exit(0 if result["correct"] else 1)
+
+bench-e2e:
+	@status=0; \
+	for workload in reproduction fleet; do \
+		for trace in 0 1; do \
+			echo "bench-e2e: $$workload seed $(SEED) trace $$trace"; \
+			out=$$($(PYTHON) e2ebench/run.py --workload $$workload \
+				--seed $(SEED) --seconds 20 --trace $$trace) \
+				|| status=1; \
+			echo "$$out" | $(PYTHON) -c '$(E2E_CHECK)' || status=1; \
+		done; \
+	done; \
+	exit $$status
+
+# Exactness sweep: the fleet workload at seeds 0-19, one short pass
+# each; fails unless every seed is "correct".
+bench-e2e-digests:
+	@status=0; \
+	for seed in $$(seq 0 19); do \
+		echo "bench-e2e-digests: fleet seed $$seed"; \
+		out=$$($(PYTHON) e2ebench/run.py --workload fleet --seed $$seed \
+			--seconds 1 --trace 0) || status=1; \
+		echo "$$out" | $(PYTHON) -c '$(E2E_CHECK)' || status=1; \
+	done; \
+	exit $$status
 
 # cProfile the engine hot paths (calendar churn + keystroke pipeline);
 # writes the top-20 cumulative report to .profile-hotpath.txt.

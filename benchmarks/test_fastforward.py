@@ -15,8 +15,11 @@ collect`` turns those into the tracked metrics the perf gate compares.
 
 import time
 
+import pytest
+
 from repro.apps import NotepadApp
 from repro.core import IdleLoopInstrument
+from repro.obs import observed
 from repro.sim.engine import set_fast_forward_default
 from repro.sim.timebase import ns_from_ms
 from repro.winsys import boot
@@ -111,3 +114,32 @@ def test_busy_fastforward_overhead(benchmark):
     benchmark.extra_info["sim_ns"] = sim_ns
     benchmark.extra_info["events"] = events
     assert keystrokes >= 100
+
+
+#: Simulated span of the tick-span benchmark: 1000 clock ticks.
+_SPAN_SIM_MS = 10_000.0
+
+
+@pytest.mark.parametrize("os_name", ["nt351", "nt40", "win95"])
+def test_idle_tick_span(benchmark, os_name):
+    """10 idle simulated seconds, instrumented, the way the fleet runs them.
+
+    The session is open with trace and metrics off (the fleet's
+    configuration), so quiet clock ticks are completed analytically in
+    tick spans; only housekeeping ticks (every 10th), Win95's background
+    work and the ticks right after them execute event by event.
+    """
+
+    def run():
+        with observed(trace=False, metrics=False):
+            system = boot(os_name)
+            instrument = IdleLoopInstrument(system)
+            instrument.install()
+            system.run_for(ns_from_ms(_SPAN_SIM_MS))
+        return system.sim, instrument.samples_collected
+
+    sim, samples = benchmark(run)
+    assert samples >= 9_000
+    assert sim.events_fast_forwarded > sim.events_executed // 2
+    benchmark.extra_info["sim_ns"] = ns_from_ms(_SPAN_SIM_MS)
+    benchmark.extra_info["events"] = sim.events_executed

@@ -65,6 +65,8 @@ def test_fleet_sessions_rate(benchmark):
     )
     assert fleet.aggregate.sessions == RATE_SESSIONS
     assert not fleet.failures
+    # ``events`` are *input* events (keystrokes), so the gate's
+    # events_per_s is an input rate; sessions_per_s is the fleet rate.
     benchmark.extra_info["events"] = fleet.aggregate.events
     benchmark.extra_info["sessions"] = RATE_SESSIONS
     benchmark.extra_info["merged_digest"] = fleet.digest

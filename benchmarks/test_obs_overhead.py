@@ -3,10 +3,13 @@
 The disabled path — no session open — costs one ``obs is None``
 attribute check per hook site.  This test bounds it from above by
 timing the strictly *more* expensive null-hook path: a session with
-both trace and metrics off still attaches the full instrumentation,
-so every hook site pays attribute load + method dispatch into the
-no-op sinks (``NULL_TRACER``/``NULL_REGISTRY``).  If even that stays
-within 5% of an uninstrumented run, the real disabled path does too.
+both trace and metrics off still attaches the instrumentation, so the
+hook sites shared with stage envelopes (thread tracks, the app-event,
+input and pump hooks) pay attribute load + method dispatch.  Hooks
+whose only output is a trace event or a metric are not wired at all in
+such a session (see ``repro.obs.instrument.instrument_system``).  If
+even that stays within 5% of an uninstrumented run, the real disabled
+path does too.
 
 Timing discipline: interleaved rounds, best-of-N minimums (the minimum
 is the least noisy location statistic for wall time), plus a small
@@ -35,9 +38,9 @@ EPSILON_S = 0.010  # absolute slack for timer/scheduler noise
 def _time_once(instrumented: bool) -> float:
     started = time.perf_counter()
     if instrumented:
-        # trace=False, metrics=False, envelopes off: hooks attach and
-        # dispatch, but into the null sinks — an upper bound on the
-        # disabled path.  Stage envelopes (on by default under a
+        # trace=False, metrics=False, envelopes off: the instrumentation
+        # attaches and its envelope-facing hooks dispatch — an upper
+        # bound on the disabled path.  Stage envelopes (on by default under a
         # session) have their own gate in test_envelope_overhead.py.
         with observed(trace=False, metrics=False, envelopes={"enabled": False}):
             run_experiment(EXPERIMENT, seed=0)

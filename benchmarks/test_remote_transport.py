@@ -60,5 +60,6 @@ def test_remote_sessions_rate(benchmark):
 
     retransmits = benchmark.pedantic(run, rounds=1, iterations=1)
     assert retransmits > 0  # the ARQ worst case is actually exercised
+    # Input events (keystrokes); sessions_per_s is the session rate.
     benchmark.extra_info["sessions"] = SESSIONS
     benchmark.extra_info["events"] = SESSIONS * 10

@@ -57,8 +57,9 @@ class IdleLoopInstrument:
         #: batch synthesizes (probes that pair each record with a counter
         #: reading, e.g. :class:`repro.core.isrcost.InterruptCostProbe`,
         #: hook here rather than wrapping ``buffer.append``, which the
-        #: batch path bypasses).  Counters cannot change between the
-        #: events of a batch, so the paired readings are identical with
+        #: batch path bypasses).  While a hook is set, batches stop short
+        #: of clock ticks, so counters cannot change between the events
+        #: of a batch and the paired readings are identical with
         #: fast-forward on or off.
         self.record_hook: Optional[Callable[[int], None]] = None
 
@@ -90,14 +91,10 @@ class IdleLoopInstrument:
         )
         system = self.system
         buffer = self.buffer
-        # Segment wall-duration on an idle processor — the record spacing
-        # fast-forward batches reproduce.  Computed through the same CPU
-        # model the kernel charges, so the two can never disagree.
-        step_ns = system.machine.cpu.duration_ns(work)
         # One reusable syscall object: the kernel consumes an IdleCompute
-        # at perform time (work + max_batch) and never retains it, so the
-        # instrument can mutate max_batch between yields instead of
-        # allocating a fresh syscall per millisecond of idle time.
+        # at perform time (work + max_batch + span_ticks) and never
+        # retains it, so the instrument can mutate the fields between
+        # yields instead of allocating a fresh syscall per millisecond.
         syscall = IdleCompute(work, max_batch=0)
         while True:
             space = buffer.space_left
@@ -106,9 +103,12 @@ class IdleLoopInstrument:
             # max_batch caps any analytic batch at the records that still
             # fit, mirroring this loop's own space_left check.
             syscall.max_batch = space
-            batched = yield syscall
             hook = self.record_hook
-            if batched is None:
+            # A hook pairs each record with a counter reading; clock
+            # ISRs move the counters, so batches must not cross ticks.
+            syscall.span_ticks = hook is None
+            completions = yield syscall
+            if completions is None:
                 # Segment executed on the (possibly contended) CPU; its
                 # elongation, if any, is the measurement.
                 now = system.now
@@ -116,14 +116,13 @@ class IdleLoopInstrument:
                 if hook is not None:
                     hook(now)
             else:
-                # The kernel completed `batched` uncontended segments
-                # analytically; their records are exactly evenly spaced,
-                # ending at the jumped-to now.
-                start = system.now - (batched - 1) * step_ns
-                buffer.extend_ramp(start, step_ns, batched)
+                # The kernel completed these segments analytically; each
+                # completion time is the record the loop would have
+                # written there.
+                buffer.extend(completions)
                 if hook is not None:
-                    for i in range(batched):
-                        hook(start + i * step_ns)
+                    for timestamp in completions:
+                        hook(timestamp)
 
     def trace(self) -> SampleTrace:
         """The trace collected so far, ready for analysis."""

@@ -44,7 +44,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core.runcache import RunCache, code_version, variant_key
+from ..core.runcache import RunCache, variant_key
 from ..core.serialize import cache_entry_to_dict, experiment_to_dict
 from ..obs import MetricsRegistry
 from ..obs.logging import get_logger
@@ -394,7 +394,6 @@ class FleetResult:
             "sessions_quarantined": self.sessions_quarantined,
             "sessions_skipped": self.sessions_skipped,
             "completeness": self.completeness,
-            "code_version": code_version(),
         }
         if self.quarantined:
             # The exact poison set, pinned to this population: enough

@@ -69,6 +69,14 @@ class SystemInstrumentation:
         )
         self.tracer = tracer
         self.registry = registry
+        #: Whether the session records a trace / metrics.  A session with
+        #: neither (the fleet's) leaves the tracer- and registry-only
+        #: hooks unwired (see :func:`instrument_system`) and the hooks
+        #: shared with stage envelopes stop after the envelope part; a
+        #: traced one keeps the kernel on the per-tick path, because
+        #: every clock interrupt is an instant on the ``irq`` track.
+        self.tracing = session.tracer is not None
+        self.sinks = self.tracing or session.registry is not None
         self.pid = tracer.register_process(os_name)
         tracer.register_thread(self.pid, "cpu", tid=CPU_TRACK)
         tracer.register_thread(self.pid, "irq", tid=IRQ_TRACK)
@@ -182,7 +190,8 @@ class SystemInstrumentation:
         #: direction -> trace track id for link-busy spans (lazy; only
         #: remote sessions allocate them).
         self._net_tracks: Dict[str, int] = {}
-        session.add_flush(self.flush_calendar_stats)
+        if session.registry is not None:
+            session.add_flush(self.flush_calendar_stats)
 
     # ------------------------------------------------------------------
     # Threads and the CPU track
@@ -198,11 +207,12 @@ class SystemInstrumentation:
         self._next_thread_track = track + 1
         self._thread_tracks[thread.tid] = track
         self._threads_created.inc(os=self.os)
-        thread.queue.add_observer(
-            lambda action, message, depth, t=thread: self.queue_event(
-                t, action, message, depth
+        if self.sinks or self.envelopes is not None:
+            thread.queue.add_observer(
+                lambda action, message, depth, t=thread: self.queue_event(
+                    t, action, message, depth
+                )
             )
-        )
         return track
 
     def run_begin(self, thread) -> None:
@@ -235,6 +245,21 @@ class SystemInstrumentation:
         self._ff_batches.inc(os=self.os)
         self._ff_segments.inc(segments, os=self.os)
         self._ff_ns.inc(span_ns, os=self.os)
+
+    def tick_span(
+        self, ticks: int, batches: int, segments: int, span_ns: int
+    ) -> None:
+        """A tick span completed ``ticks`` quiet clock ticks analytically.
+
+        Adds exactly what the skipped per-tick path would have added:
+        one clock-interrupt count per tick and the fast-forward batches
+        it would have run between them.  Only called while not tracing.
+        """
+        self._interrupts.inc(ticks, os=self.os, vector="clock", spurious="false")
+        if batches:
+            self._ff_batches.inc(batches, os=self.os)
+            self._ff_segments.inc(segments, os=self.os)
+            self._ff_ns.inc(span_ns, os=self.os)
 
     def flush_calendar_stats(self) -> None:
         """Publish event-calendar health gauges (run at metrics snapshot)."""
@@ -278,6 +303,8 @@ class SystemInstrumentation:
     def sync_io(self, outstanding: int) -> None:
         if self.envelopes is not None:
             self.envelopes.sync_io(outstanding)
+        if not self.sinks:
+            return
         now = self._sim.now
         if outstanding > 0 and not self._io_span_open:
             self._io_span_open = True
@@ -403,6 +430,8 @@ class SystemInstrumentation:
     def queue_event(self, thread, action: str, message, depth: int) -> None:
         if self.envelopes is not None:
             self.envelopes.on_queue_event(thread, action, message, depth)
+        if not self.sinks:
+            return
         track = self._thread_tracks.get(thread.tid)
         if track is not None:
             self.tracer.instant(
@@ -420,6 +449,8 @@ class SystemInstrumentation:
         self._api_calls.inc(os=self.os, api=record.api)
 
     def app_event_begin(self, thread, message) -> None:
+        if not self.sinks:
+            return
         track = self._thread_tracks.get(thread.tid)
         if track is None:
             track = self.thread_created(thread)
@@ -438,7 +469,7 @@ class SystemInstrumentation:
         if self.envelopes is not None:
             self.envelopes.on_app_event_end(thread, message)
         track = self._thread_tracks.get(thread.tid)
-        if track is None:
+        if track is None or not self.sinks:
             return
         self.tracer.end(self.pid, track, self._sim.now)
 
@@ -458,9 +489,15 @@ def instrument_system(system, os_name: str, session: ObsSession):
     system.obs = instrumentation
     kernel = system.kernel
     kernel.obs = instrumentation
-    system.machine.interrupts.obs = instrumentation.interrupt
-    kernel.iomgr.add_sync_observer(instrumentation.sync_io)
-    kernel.hooks.register("*", instrumentation.api_call)
+    if instrumentation.sinks:
+        # Hooks whose only output is a trace event or a metric; a
+        # sink-less session leaves them unwired instead of feeding them
+        # to the null tracer and registry.
+        kernel.obs_sinks = instrumentation
+        system.machine.interrupts.obs = instrumentation.interrupt
+        kernel.hooks.register("*", instrumentation.api_call)
+    if instrumentation.sinks or instrumentation.envelopes is not None:
+        kernel.iomgr.add_sync_observer(instrumentation.sync_io)
     for thread in kernel.threads:
         instrumentation.thread_created(thread)
     return instrumentation

@@ -14,7 +14,11 @@ reviewable metrics file and compare such files:
   the most portable regression signal;
 * ``events_per_s`` / ``sim_ns_per_wall_ms`` — simulation throughput,
   derived from the ``events`` / ``sim_ns`` entries the benchmarks record
-  in ``extra_info``;
+  in ``extra_info`` (what counts as an event is the benchmark's choice:
+  engine callbacks for the simulator benchmarks, *input* events for the
+  fleet and remote session benchmarks);
+* ``sessions_per_s`` — whole sessions per second, from a ``sessions``
+  entry (the fleet and remote session benchmarks);
 * ``idle_ff_speedup`` — the fast-forward ablation's measured speedup,
   which additionally carries an absolute floor (see ``SPEEDUP_FLOOR``);
 * ``batch_speedup`` — the batched side-calendar dispatch speedup over
@@ -79,6 +83,7 @@ _DIRECTIONS: Dict[str, bool] = {
     "median_s": False,
     "relative_cost": False,
     "events_per_s": True,
+    "sessions_per_s": True,
     "sim_ns_per_wall_ms": True,
     "idle_ff_speedup": True,
     "batch_speedup": True,
@@ -111,6 +116,8 @@ def collect_metrics(raw: dict) -> dict:
         }
         if extra.get("events") and median > 0:
             entry["events_per_s"] = float(extra["events"]) / median
+        if extra.get("sessions") and median > 0:
+            entry["sessions_per_s"] = float(extra["sessions"]) / median
         if extra.get("sim_ns") and median > 0:
             entry["sim_ns_per_wall_ms"] = float(extra["sim_ns"]) / (median * 1e3)
         if "idle_ff_speedup" in extra:

@@ -59,7 +59,10 @@ The engine also carries the state the idle fast-forward path (see
 bit-identical to ordinary execution: the active run horizon, and a
 :meth:`Simulator.fast_forward` jump that advances the clock *and* the
 sequence/executed counters exactly as executing the skipped events one
-by one would have.
+by one would have.  Tick spans extend that across clock ticks:
+:meth:`Simulator.tick_span_window` says how far the periodic tick is the
+only pending work, and :meth:`Simulator.commit_tick_span` lands the
+result, re-keying the tick entry exactly as the skipped ticks would have.
 """
 
 from __future__ import annotations
@@ -189,6 +192,7 @@ class Simulator:
         "_stop_requested",
         "_horizon",
         "_ff_allowed",
+        "_span_allowed",
         "_cancelled",
         "_handler_fns",
         "_handler_batch",
@@ -226,6 +230,11 @@ class Simulator:
         #: False while a ``max_events``-bounded run is active — fast
         #: forward would execute segments the bound should count.
         self._ff_allowed = True
+        #: True only inside a :meth:`run` with neither an ``until``
+        #: predicate nor ``max_events``: a tick span executes whole clock
+        #: periods in one callback, which a predicate (evaluated between
+        #: every two events) or an event budget would have to observe.
+        self._span_allowed = False
         #: Cancelled ScheduledEvent entries still on the calendar (lazy
         #: deletion; the slot entry counts here too).
         self._cancelled = 0
@@ -923,6 +932,93 @@ class Simulator:
         self.events_executed += events
         self.events_fast_forwarded += events
 
+    def tick_span_window(self, hid: int) -> Optional[Tuple[int, int]]:
+        """``(tick_ns, limit_ns)`` when a tick span may start, else None.
+
+        A tick span (see :meth:`repro.winsys.kernel.Kernel._span_ticks`)
+        completes whole quiet clock periods in one callback.  It may
+        start only inside a :meth:`run` without ``until`` predicate,
+        ``max_events`` or pending stop, with the side calendar empty,
+        and when the earliest live entry is a no-argument kind entry of
+        handler ``hid`` — the periodic tick — due at ``tick_ns``.
+        ``limit_ns`` is the last instant a synthesized event may occupy:
+        one before the earliest *other* entry (cancelled ones included,
+        so a span never passes an entry the slow path would pop, and
+        every synthesized event has a larger seq than any pending one),
+        capped at the run horizon, where the slow path still executes.
+        Returns None when neither bound exists.
+        """
+        if not self._span_allowed or self._stop_requested or self._soa_n:
+            return None
+        self._discard_cancelled()
+        queue = self._queue
+        head = self._next
+        if head is not None:
+            others = queue[:1]
+        elif queue:
+            # Heap order: the second-smallest entry is a child of the root.
+            head = queue[0]
+            others = queue[1:3]
+        else:
+            return None
+        payload = head[2]
+        if payload.__class__ is not int or payload != hid or len(head) != 3:
+            return None
+        limit = self._horizon
+        for entry in others:
+            if limit is None or entry[0] <= limit:
+                limit = entry[0] - 1
+        if limit is None:
+            return None
+        return head[0], limit
+
+    def commit_tick_span(
+        self,
+        tick_ns: int,
+        tick_seq: int,
+        now_ns: int,
+        seq: int,
+        events: int,
+        depth_peak: int,
+    ) -> None:
+        """Land a tick span computed against :meth:`tick_span_window`.
+
+        Moves the pending tick entry (the calendar head) to the
+        ``(tick_ns, tick_seq)`` key the per-tick path would have given
+        it, sets the clock and sequence counter to ``now_ns`` / ``seq``,
+        accounts ``events`` synthesized callbacks as executed *and*
+        fast-forwarded, and raises the calendar high-water mark to the
+        ``depth_peak`` the spanned ticks would have reached.  Nothing
+        may touch the calendar between the window and the commit.
+        """
+        if now_ns < self._now or tick_ns <= now_ns or seq <= tick_seq:
+            raise SimulationError(
+                f"inconsistent tick span: now {self._now} -> {now_ns} ns, "
+                f"tick at {tick_ns} ns (seq {tick_seq}, counter {seq})"
+            )
+        if self._horizon is not None and now_ns > self._horizon:
+            raise SimulationError(
+                f"tick span to {now_ns} ns crosses run horizon "
+                f"{self._horizon} ns"
+            )
+        queue = self._queue
+        head = self._next
+        if head is not None:
+            self._next = None
+        else:
+            head = _heappop(queue)
+        entry = (tick_ns, tick_seq, head[2])
+        if queue and tick_ns >= queue[0][0]:
+            _heappush(queue, entry)
+        else:
+            self._next = entry
+        self._now = now_ns
+        self._seq = seq
+        self.events_executed += events
+        self.events_fast_forwarded += events
+        if depth_peak > self.calendar_high_water:
+            self.calendar_high_water = depth_peak
+
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
         self._discard_cancelled()
@@ -985,6 +1081,7 @@ class Simulator:
         self._stop_requested = False
         self._horizon = until_ns
         self._ff_allowed = max_events is None
+        self._span_allowed = max_events is None and until is None
         executed = 0
         heap_done = 0  # deferred events_executed increments, flushed below
         batch_allowed = self.batch_enabled and until is None
@@ -1083,4 +1180,5 @@ class Simulator:
             self._running = False
             self._horizon = None
             self._ff_allowed = True
+            self._span_allowed = False
         return self._now

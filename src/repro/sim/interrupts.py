@@ -84,6 +84,28 @@ class InterruptController:
             raise KeyError(f"unknown interrupt vector {name!r}")
         self._vectors[name] = InterruptVector(name, isr_work)
 
+    def isr_duration_ns(self, name: str) -> int:
+        """Wall duration of vector ``name``'s service routine."""
+        return self.cpu.duration_ns(self._vectors[name].isr_work)
+
+    def credit_deliveries(self, name: str, count: int) -> None:
+        """Account ``count`` genuine deliveries on ``name`` at once.
+
+        The processor-side effects of ``count`` :meth:`raise_interrupt`
+        calls — the interrupt event, the ISR's own events and its busy
+        time, the delivery tally — for a tick span (see
+        :meth:`repro.winsys.kernel.Kernel._span_ticks`), which accounts
+        the stolen time, handler post-actions and observers itself.
+        Every charge is a whole count, so the totals are bit-identical
+        to the per-delivery path.
+        """
+        cpu = self.cpu
+        isr_work = self._vectors[name].isr_work
+        cpu.perf.charge(HwEvent.INTERRUPTS, count)
+        cpu.perf.charge_events_whole(isr_work.events, count)
+        cpu.busy_ns += cpu.duration_ns(isr_work) * count
+        self.delivered[name] = self.delivered.get(name, 0) + count
+
     def raise_interrupt(self, name: str, payload: object = None) -> None:
         """Deliver an interrupt on vector ``name`` right now."""
         vector = self._vectors.get(name)
@@ -161,6 +183,18 @@ class PeriodicClock:
 
     def stop(self) -> None:
         self._running = False
+
+    def span_window(self):
+        """:meth:`Simulator.tick_span_window` for this clock's tick, or
+        None while the clock is stopped."""
+        if not self._running:
+            return None
+        return self.sim.tick_span_window(self._tick_hid)
+
+    def credit_quiet_ticks(self, count: int) -> None:
+        """Account ``count`` ticks a tick span completed analytically."""
+        self.ticks += count
+        self.controller.credit_deliveries(self.VECTOR, count)
 
     def _schedule_next(self) -> None:
         next_tick = ((self.sim.now // self.period_ns) + 1) * self.period_ns

@@ -9,9 +9,9 @@ stated trade-offs.
 
 :class:`IntTraceBuffer` is the specialization the idle trace actually
 uses: records are integer nanosecond timestamps, stored in a compact
-``array('q')`` instead of a list of boxed ints, with an arithmetic-ramp
-bulk append (:meth:`IntTraceBuffer.extend_ramp`) for the fast-forward
-path that synthesizes a run of evenly spaced records in one step.
+``array('q')`` instead of a list of boxed ints, with a bulk append
+(:meth:`TraceBuffer.extend`, an ``array('q')`` run in one C-level copy)
+for the fast-forward path that synthesizes runs of records.
 """
 
 from __future__ import annotations
@@ -135,25 +135,19 @@ class TraceBuffer(Generic[T]):
             return self._records[self._wrap_start - 1]
         return self._records[-1]
 
-    def extend_ramp(self, start: T, step: T, count: int) -> None:
-        """Append ``count`` records ``start, start+step, ...`` at once.
+    def extend(self, records: Sequence[T]) -> None:
+        """Append a run of records at once (the fast-forward bulk path).
 
-        Generic fallback for arithmetic record types; the
-        :class:`IntTraceBuffer` override is the fast path.  The run must
-        fit: the caller bounds ``count`` by :attr:`space_left` (the
-        fast-forward batch protocol does exactly that).
+        The run must fit: the caller bounds it by :attr:`space_left`
+        (the fast-forward batch protocol does exactly that), so no
+        overflow policy applies.
         """
-        if count <= 0:
-            return
-        if count > self.space_left:
+        if len(records) > self.space_left:
             raise TraceOverflow(
-                f"ramp of {count} records exceeds space_left={self.space_left}"
+                f"run of {len(records)} records exceeds "
+                f"space_left={self.space_left}"
             )
-        value = start
-        append = self._records.append
-        for _ in range(count):
-            append(value)
-            value = value + step  # type: ignore[operator]
+        self._records.extend(records)
 
     def clear(self) -> None:
         del self._records[:]
@@ -167,24 +161,12 @@ class IntTraceBuffer(TraceBuffer[int]):
 
     The idle-loop instrument appends one int64 nanosecond timestamp per
     record; storing them unboxed roughly quarters the memory per record
-    and makes the fast-forward bulk append a single C-level
-    ``array.extend(range(...))``.  All :class:`TraceBuffer` semantics
-    (capacity, overflow policies, loss accounting) are inherited.
+    and makes the fast-forward bulk append (:meth:`extend` with an
+    ``array('q')`` run) a single C-level copy.  All :class:`TraceBuffer`
+    semantics (capacity, overflow policies, loss accounting) are
+    inherited.
     """
 
     def __init__(self, capacity: int, on_full: str = "stop") -> None:
         super().__init__(capacity, on_full)
         self._records = array("q")  # type: ignore[assignment]
-
-    def extend_ramp(self, start: int, step: int, count: int) -> None:
-        """Bulk-append the arithmetic run ``start, start+step, ...``."""
-        if count <= 0:
-            return
-        if count > self.space_left:
-            raise TraceOverflow(
-                f"ramp of {count} records exceeds space_left={self.space_left}"
-            )
-        if step == 0:
-            self._records.extend([start] * count)
-        else:
-            self._records.extend(range(start, start + count * step, step))

@@ -22,6 +22,7 @@ Scheduling model:
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -160,6 +161,12 @@ class Kernel:
         #: Every call site guards with ``is not None`` so the disabled
         #: path costs one attribute check.
         self.obs = None
+        #: The same instrumentation when its session has a tracer or a
+        #: metrics registry to write to, else None.  Hooks whose only
+        #: output is a trace span or a metric go through this one, so a
+        #: sink-less session (the fleet's) skips them and keeps only the
+        #: stage-envelope hooks on ``obs``.
+        self.obs_sinks = None
         # Precompiled engine handler ids for the kernel's own recurring
         # events: one heap tuple each, no handle/closure/label per
         # occurrence (docs/performance.md, "inner loop").
@@ -307,16 +314,16 @@ class Kernel:
         thread.pending_work = remaining
         self.running = None
         self.context_switches += 1
-        if self.obs is not None:
-            self.obs.run_end(thread, "preempt")
-            self.obs.context_switch("preempt")
+        if self.obs_sinks is not None:
+            self.obs_sinks.run_end(thread, "preempt")
+            self.obs_sinks.context_switch("preempt")
         self.scheduler.make_ready(thread, front=True)
 
     def _run_thread(self, thread: SimThread) -> None:
         self.running = thread
         thread.dispatches += 1
-        if self.obs is not None:
-            self.obs.run_begin(thread)
+        if self.obs_sinks is not None:
+            self.obs_sinks.run_begin(thread)
         if thread.pending_work is not None:
             work = thread.pending_work
             thread.pending_work = None
@@ -332,8 +339,8 @@ class Kernel:
             self._active_dpc = None
             self.running = None
             self.dpcs_run += 1
-            if self.obs is not None:
-                self.obs.dpc_end(dpc.label if dpc is not None else "")
+            if self.obs_sinks is not None:
+                self.obs_sinks.dpc_end(dpc.label if dpc is not None else "")
             if dpc is not None and dpc.action is not None:
                 dpc.action()
             self._request_dispatch()
@@ -354,16 +361,16 @@ class Kernel:
                 thread.pending_action_arg = None
                 result = action(arg)
         if result is _BLOCKED:
-            if self.obs is not None:
-                self.obs.run_end(thread, thread.wait_reason or "block")
+            if self.obs_sinks is not None:
+                self.obs_sinks.run_end(thread, thread.wait_reason or "block")
             self.running = None
             self._request_dispatch()
             return
         if self.scheduler.top > thread.priority or self._dpc_queue:
             thread.resume_value = result
             self.running = None
-            if self.obs is not None:
-                self.obs.run_end(thread, "preempt-pending")
+            if self.obs_sinks is not None:
+                self.obs_sinks.run_end(thread, "preempt-pending")
             self.scheduler.make_ready(thread, front=True)
             self._request_dispatch()
             return
@@ -395,14 +402,14 @@ class Kernel:
                 send_value = outcome[1]
                 continue
             if kind == "block":
-                if self.obs is not None:
+                if self.obs_sinks is not None:
                     if thread.blocked:
                         reason = thread.wait_reason or "block"
                     elif thread.done:
                         reason = "exit"
                     else:
                         reason = "yield"
-                    self.obs.run_end(thread, reason)
+                    self.obs_sinks.run_end(thread, reason)
                 self.running = None
                 self._request_dispatch()
                 return
@@ -423,8 +430,8 @@ class Kernel:
 
     def _finish_thread(self, thread: SimThread) -> None:
         thread.state = ThreadState.DONE
-        if self.obs is not None:
-            self.obs.run_end(thread, "exit")
+        if self.obs_sinks is not None:
+            self.obs_sinks.run_end(thread, "exit")
         self.running = None
         self._request_dispatch()
 
@@ -458,9 +465,9 @@ class Kernel:
 
     def _perform_compute(self, thread: SimThread, syscall: Compute):
         if syscall.__class__ is IdleCompute and self.fast_forward:
-            batched = self._try_fast_forward(thread, syscall)
-            if batched:
-                return ("result", batched)
+            completions = self._try_fast_forward(thread, syscall)
+            if completions:
+                return ("result", completions)
         return ("compute", syscall.work, None, None)
 
     def _perform_getmessage(self, thread: SimThread, syscall: GetMessage):
@@ -653,11 +660,11 @@ class Kernel:
             None,
         )
 
-    def _try_fast_forward(self, thread: SimThread, syscall: IdleCompute) -> int:
-        """Complete up to ``syscall.max_batch`` idle segments analytically.
+    def _try_fast_forward(self, thread: SimThread, syscall: IdleCompute):
+        """Complete idle segments analytically; returns their end times.
 
-        Preconditions for a batch (otherwise return 0 and execute the
-        segment normally):
+        Preconditions (otherwise return None and execute the segment
+        normally):
 
         * ``thread`` is the running thread, the CPU is free, no DPC is
           queued, no ready thread exists, no Win95 mouse spin is active —
@@ -677,9 +684,12 @@ class Kernel:
         executed-event counters advance by ``k`` (one completion event
         each), the CPU accrues ``k * duration`` busy time, and the
         segment's hardware events are charged ``k`` whole times (whole
-        charges never touch the fractional residual).  The syscall
-        result ``k`` tells the instrument to synthesize the ``k`` trace
-        records.  Equivalence is proven record-for-record by
+        charges never touch the fractional residual).  When that next
+        event is a quiet clock tick, :meth:`_span_ticks` goes further
+        and completes whole tick periods, elongated segments included.
+        The syscall result is the completion time of every synthesized
+        segment, which is where the instrument writes its trace records.
+        Equivalence is proven record-for-record by
         ``tests/test_fastforward.py`` and the golden digests.
         """
         limit = syscall.max_batch
@@ -691,23 +701,135 @@ class Kernel:
             or self.cpu.busy
             or self.scheduler.top >= 0
         ):
-            return 0
+            return None
         work = syscall.work
         duration = self.cpu.duration_ns(work)
         if duration <= 0:
-            return 0
-        batch = self.sim.fast_forward_budget(duration)
+            return None
+        # A thread above idle priority makes every tick queue a DPC.
+        if syscall.span_ticks and thread.priority <= IDLE_PRIORITY:
+            completions = self._span_ticks(work, duration, limit)
+            if completions is not None:
+                return completions
+        sim = self.sim
+        batch = sim.fast_forward_budget(duration)
         if batch > limit:
             batch = limit
         if batch <= 0:
-            return 0
-        self.sim.fast_forward(batch * duration, events=batch)
+            return None
+        start = sim.now + duration
+        sim.fast_forward(batch * duration, events=batch)
         self.cpu.credit_idle_batch(work, duration, batch)
         self.fast_forward_batches += 1
         self.fast_forward_segments += batch
-        if self.obs is not None:
-            self.obs.fast_forward(batch, batch * duration)
-        return batch
+        if self.obs_sinks is not None:
+            self.obs_sinks.fast_forward(batch, batch * duration)
+        return array("q", range(start, start + batch * duration, duration))
+
+    def _span_ticks(self, work=None, duration: int = 0, space: int = 0):
+        """Complete whole quiet clock periods analytically (a tick span).
+
+        A quiet tick is one whose ISR post-action queues no DPC: no
+        armed timer, no ready thread, nothing above idle priority
+        running, and not a housekeeping tick.  While the tick is the
+        only pending work (:meth:`Simulator.tick_span_window`), each
+        period replays in closed form what the per-tick path executes:
+
+        * the clock event: one interrupt and the ISR's events charged,
+          ISR busy time, the post-action and the re-arm scheduled;
+        * the ISR return, whose only effect on a quiet tick is the
+          running thread's quantum tick;
+        * with ``duration`` (the idle-loop instrument is running): the
+          fast-forward batch up to the tick, then the one segment the
+          ISR steals from, elongated by exactly the ISR duration and
+          completing — one completion event — after the ISR returns.
+
+        A span stops at the first tick that is not quiet, whose
+        elongated segment would end on or past the limit or the next
+        tick, that lands exactly on a segment end (the completion then
+        races the ISR return), or whose records would not fit in
+        ``space``; the per-tick path takes over from there (with the
+        instrument, starting with the fast-forward batch before that
+        tick).  Every counter the skipped events would have moved is
+        moved by the same amount, and the re-armed tick keeps the
+        ``(time, seq)`` key it would have had.
+
+        Returns the segment completion times (an empty array without
+        ``duration``), or None when not even one tick could be spanned.
+        """
+        clock = self.machine.clock
+        housekeeping = self.personality.housekeeping_period_ticks
+        ticks = clock.ticks
+        if (ticks + 1) % housekeeping == 0 or self._timers:
+            return None
+        sinks = self.obs_sinks
+        interrupts = self.machine.interrupts
+        if sinks is not None:
+            if sinks.tracing:
+                return None  # every tick is an irq instant on the trace
+        elif interrupts.obs is not None:
+            return None  # an interrupt observer the span cannot account
+        window = clock.span_window()
+        if window is None:
+            return None
+        tick_ns, limit = window
+        period = clock.period_ns
+        isr_ns = interrupts.isr_duration_ns(clock.VECTOR)
+        sim = self.sim
+        now = sim.now
+        seq = sim._seq
+        events = spanned = batches = segments = 0
+        completions = array("q")
+        while (ticks + spanned + 1) % housekeeping:
+            if duration:
+                k = (tick_ns - now - 1) // duration
+                start = now + k * duration  # the segment the ISR steals from
+                done = start + duration + isr_ns
+                if (
+                    k < 0
+                    or start + duration == tick_ns
+                    or done > limit
+                    or done >= tick_ns + period
+                    or len(completions) + k >= space
+                ):
+                    break
+                if k:
+                    completions.extend(range(now + duration, start + 1, duration))
+                    batches += 1
+                    segments += k
+                completions.append(done)
+                # Sequence numbers: k batched segments, the stolen-from
+                # segment's completion, then the tick's three schedules
+                # (re-queued completion, ISR return, re-arm).  Events:
+                # k segments, the tick, its ISR return, the completion.
+                seq += k + 4
+                events += k + 3
+            else:
+                done = tick_ns + isr_ns
+                if done > limit:
+                    break
+                seq += 2  # the tick schedules its ISR return and re-arm
+                events += 2
+            now = done
+            tick_ns += period
+            spanned += 1
+        if not spanned:
+            return None
+        # Peak calendar depth inside a spanned tick: the re-arm lands
+        # while the ISR return is pending — and, with the instrument,
+        # while the stolen-from segment's dead and live completions are.
+        depth_peak = sim.calendar_depth() + (3 if duration else 1)
+        # The re-arm is each tick's last schedule.
+        sim.commit_tick_span(tick_ns, seq - 1, now, seq, events, depth_peak)
+        clock.credit_quiet_ticks(spanned)
+        if duration:
+            self.cpu.credit_idle_batch(work, duration, len(completions))
+            self.running.quantum_ticks_used += spanned
+            self.fast_forward_batches += batches
+            self.fast_forward_segments += segments
+        if sinks is not None:
+            sinks.tick_span(spanned, batches, segments, segments * duration)
+        return completions
 
     def _block_value(self, thread: SimThread, reason: str):
         """Block from inside a pending action (returns the sentinel)."""
@@ -787,8 +909,8 @@ class Kernel:
         thread.resume_value = None
         if thread.state == ThreadState.RUNNING:
             thread.state = ThreadState.READY
-            if self.obs is not None:
-                self.obs.run_end(thread, "spin-cancel")
+            if self.obs_sinks is not None:
+                self.obs_sinks.run_end(thread, "spin-cancel")
             self.scheduler.make_ready(thread, front=True)
         self._request_dispatch()
 
@@ -831,8 +953,8 @@ class Kernel:
         dpc = self._dpc_queue.popleft()
         self._active_dpc = dpc
         self.running = self._dpc_context
-        if self.obs is not None:
-            self.obs.dpc_begin(dpc.label)
+        if self.obs_sinks is not None:
+            self.obs_sinks.dpc_begin(dpc.label)
         self.cpu.start(dpc.work, self._dpc_context, self._work_done)
 
     # ------------------------------------------------------------------
@@ -890,11 +1012,22 @@ class Kernel:
                     thread.quantum_ticks_used = 0
                     self.running = None
                     self.context_switches += 1
-                    if self.obs is not None:
-                        self.obs.run_end(thread, "quantum")
-                        self.obs.context_switch("quantum")
+                    if self.obs_sinks is not None:
+                        self.obs_sinks.run_end(thread, "quantum")
+                        self.obs_sinks.context_switch("quantum")
                     self.scheduler.make_ready(thread, front=False)
                     self._request_dispatch()
+        elif (
+            self.running is None
+            and self.fast_forward
+            and not self._dpc_queue
+            and not self._spin_active
+            and self.scheduler.top < 0
+            and not self.cpu.busy
+        ):
+            # A bare idle CPU (no idle-loop instrument installed): span
+            # the quiet ticks that follow this one.
+            self._span_ticks()
 
     def _on_keyboard(self, event: KeyEvent) -> None:
         if self.obs is not None:

@@ -62,18 +62,23 @@ class IdleCompute(Compute):
     segment *stateless and repeating*: if the kernel finds the machine
     otherwise idle it may complete up to ``max_batch`` consecutive
     segments analytically (jumping the clock instead of executing each
-    busy-wait) and return the number batched as the syscall result.  A
-    ``None`` result means the segment executed normally.  The issuer —
-    the idle-loop instrument — then synthesizes the trace records the
-    executed segments would have produced.  ``max_batch`` is the
-    instrument's remaining buffer space, so a batch can never run past
-    the point where the real loop would have stopped ("while
-    space_left_in_the_buffer").  With ``max_batch=0`` (or the kernel's
+    busy-wait) and return their completion times — an ``array('q')``,
+    one timestamp per segment — as the syscall result.  A ``None``
+    result means the segment executed normally.  The issuer — the
+    idle-loop instrument — then writes the trace records the executed
+    segments would have produced.  ``max_batch`` is the instrument's
+    remaining buffer space, so a batch can never run past the point
+    where the real loop would have stopped ("while
+    space_left_in_the_buffer").  ``span_ticks`` additionally lets a
+    batch cross quiet clock ticks, elongated segments included; an
+    issuer that reads counters at each record (which the ticks' ISRs
+    change) leaves it False.  With ``max_batch=0`` (or the kernel's
     ``fast_forward`` flag off) the syscall degenerates to ``Compute``,
     which is the bit-identical slow path the A/B tests compare against.
     """
 
     max_batch: int = 0
+    span_ticks: bool = False
 
 
 @dataclass

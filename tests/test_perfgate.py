@@ -48,6 +48,23 @@ class TestCollect:
         assert entry["events_per_s"] == pytest.approx(1_000_000)
         assert entry["sim_ns_per_wall_ms"] == pytest.approx(10**9 / 100.0)
 
+    def test_extra_info_derives_session_rate(self):
+        metrics = collect_metrics(
+            _raw(
+                {REFERENCE: 0.1, "test_fleet": 0.5},
+                extras={"test_fleet": {"sessions": 40, "events": 160}},
+            )
+        )
+        entry = metrics["benchmarks"]["test_fleet"]
+        assert entry["sessions_per_s"] == pytest.approx(80.0)
+        assert entry["events_per_s"] == pytest.approx(320.0)
+
+    def test_session_rate_regression_fails(self):
+        base = {"benchmarks": {"test_fleet": {"sessions_per_s": 80.0}}}
+        slow = {"benchmarks": {"test_fleet": {"sessions_per_s": 50.0}}}
+        problems = compare_metrics(slow, base)
+        assert any("sessions_per_s" in p for p in problems)
+
     def test_speedup_passes_through(self):
         metrics = collect_metrics(
             _raw(

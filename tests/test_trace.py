@@ -150,10 +150,16 @@ class TestView:
         assert list(buffer) == [2, 3, 4]
 
 
+def _ramp(start, step, count):
+    return [start + i * step for i in range(count)]
+
+
 class TestExtendRamp:
+    """Bulk append of a run of timestamps, as the fast-forward path does."""
+
     def test_ramp_matches_appends(self):
         ramp = TraceBuffer(10)
-        ramp.extend_ramp(100, 7, 4)
+        ramp.extend(_ramp(100, 7, 4))
         loop = TraceBuffer(10)
         for i in range(4):
             loop.append(100 + 7 * i)
@@ -161,19 +167,19 @@ class TestExtendRamp:
 
     def test_ramp_zero_count_is_noop(self):
         buffer = TraceBuffer(2)
-        buffer.extend_ramp(100, 7, 0)
+        buffer.extend([])
         assert len(buffer) == 0
 
     def test_ramp_never_overflows(self):
         buffer = TraceBuffer(3)
         buffer.append(1)
         with pytest.raises(TraceOverflow):
-            buffer.extend_ramp(100, 7, 3)
+            buffer.extend(_ramp(100, 7, 3))
         assert buffer.records() == [1]  # nothing partially applied
 
     def test_ramp_exactly_fills(self):
         buffer = TraceBuffer(3)
-        buffer.extend_ramp(0, 1, 3)
+        buffer.extend(_ramp(0, 1, 3))
         assert buffer.space_left == 0
         assert buffer.records() == [0, 1, 2]
 
@@ -196,14 +202,14 @@ class TestIntTraceBuffer:
 
     def test_fast_ramp_matches_generic(self):
         fast = IntTraceBuffer(100)
-        fast.extend_ramp(10**9, 250_000, 50)
+        fast.extend(array("q", _ramp(10**9, 250_000, 50)))
         generic = TraceBuffer(100)
-        generic.extend_ramp(10**9, 250_000, 50)
+        generic.extend(_ramp(10**9, 250_000, 50))
         assert fast.records() == generic.records()
 
     def test_fast_ramp_zero_step(self):
         buffer = IntTraceBuffer(5)
-        buffer.extend_ramp(42, 0, 3)
+        buffer.extend(array("q", _ramp(42, 0, 3)))
         assert buffer.records() == [42, 42, 42]
 
     def test_clear_keeps_array_type(self):
@@ -216,7 +222,7 @@ class TestIntTraceBuffer:
 
     def test_records_returns_plain_list(self):
         buffer = IntTraceBuffer(4)
-        buffer.extend_ramp(0, 1, 3)
+        buffer.extend(array("q", _ramp(0, 1, 3)))
         records = buffer.records()
         assert type(records) is list
         assert records == [0, 1, 2]
