@@ -84,8 +84,9 @@ bench-e2e-digests:
 	done; \
 	exit $$status
 
-# cProfile the engine hot paths (calendar churn + keystroke pipeline);
-# writes the top-20 cumulative report to .profile-hotpath.txt.
+# cProfile the engine hot paths (calendar churn, keystroke pipeline and
+# idle tick spans); writes the top-20 cumulative report to
+# .profile-hotpath.txt.
 profile-hotpath:
 	$(PYTHON) -m repro.profilehotpath -o .profile-hotpath.txt
 

@@ -119,27 +119,62 @@ def test_busy_fastforward_overhead(benchmark):
 #: Simulated span of the tick-span benchmark: 1000 clock ticks.
 _SPAN_SIM_MS = 10_000.0
 
+#: Upper bounds on live (not synthesized) engine events per 10 idle
+#: sim-s, by case: a deterministic work count, set to what the tick
+#: spans leave (before DPC episodes were spanned: 600 / 604 / 1931, and
+#: 6495 / 7310 with the timer).  Housekeeping, Win95 background and
+#: armed-timer tick DPCs are spanned, so what runs live is boot, the
+#: ticks where a span meets a segment end, and each firing of the armed
+#: timer (100 per 10 s) with its message handling.
+_LIVE_EVENT_BOUNDS = {
+    "nt351": 6,
+    "nt40": 10,
+    "win95": 18,
+    "nt40-timer": 1_101,
+    "win95-timer": 1_137,
+}
 
-@pytest.mark.parametrize("os_name", ["nt351", "nt40", "win95"])
-def test_idle_tick_span(benchmark, os_name):
+
+def _word_style_timer_app():
+    """Block in GetMessage with a 100 ms timer armed (Word's lazy
+    background drain, Section 5.4): every idle tick runs the tick DPC."""
+    from repro.sim.work import Work
+    from repro.winsys import Compute, GetMessage, SetTimer
+
+    yield SetTimer(timer_id=1, period_ns=ns_from_ms(100))
+    while True:
+        yield GetMessage()
+        yield Compute(Work(20_000, label="on-timer"))
+
+
+@pytest.mark.parametrize("case", list(_LIVE_EVENT_BOUNDS))
+def test_idle_tick_span(benchmark, case):
     """10 idle simulated seconds, instrumented, the way the fleet runs them.
 
     The session is open with trace and metrics off (the fleet's
-    configuration), so quiet clock ticks are completed analytically in
-    tick spans; only housekeeping ticks (every 10th), Win95's background
-    work and the ticks right after them execute event by event.
+    configuration), so idle clock periods — quiet ticks, housekeeping
+    ticks, Win95's background activity and, in the ``-timer`` cases, the
+    tick DPC of an armed app timer — are completed analytically in tick
+    spans; only the timer's firings and the ticks where a span meets a
+    segment end execute event by event.  ``live_events`` is the count
+    of engine events that ran rather than being synthesized.
     """
+    os_name, _, app = case.partition("-")
 
     def run():
         with observed(trace=False, metrics=False):
             system = boot(os_name)
+            if app:
+                system.spawn("timer-app", _word_style_timer_app())
             instrument = IdleLoopInstrument(system)
             instrument.install()
             system.run_for(ns_from_ms(_SPAN_SIM_MS))
         return system.sim, instrument.samples_collected
 
     sim, samples = benchmark(run)
+    live = sim.events_executed - sim.events_fast_forwarded
     assert samples >= 9_000
-    assert sim.events_fast_forwarded > sim.events_executed // 2
+    assert live <= _LIVE_EVENT_BOUNDS[case], f"{live} live events"
     benchmark.extra_info["sim_ns"] = ns_from_ms(_SPAN_SIM_MS)
     benchmark.extra_info["events"] = sim.events_executed
+    benchmark.extra_info["live_events"] = live

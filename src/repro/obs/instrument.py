@@ -247,19 +247,37 @@ class SystemInstrumentation:
         self._ff_ns.inc(span_ns, os=self.os)
 
     def tick_span(
-        self, ticks: int, batches: int, segments: int, span_ns: int
+        self,
+        ticks: int,
+        batches: int,
+        segments: int,
+        span_ns: int,
+        dpcs: int,
+        preempts: int,
+        running,
     ) -> None:
-        """A tick span completed ``ticks`` quiet clock ticks analytically.
+        """A tick span completed ``ticks`` clock ticks analytically.
 
         Adds exactly what the skipped per-tick path would have added:
-        one clock-interrupt count per tick and the fast-forward batches
-        it would have run between them.  Only called while not tracing.
+        one clock-interrupt count per tick, the fast-forward batches it
+        would have run between them, one retired DPC per ``dpcs`` and
+        one ``preempt`` context switch per idle-thread preemption.
+        Those DPCs leave the CPU track to ``running`` (the resumed idle
+        thread, or None on a bare CPU).  Only called while not tracing.
         """
-        self._interrupts.inc(ticks, os=self.os, vector="clock", spurious="false")
+        if ticks:
+            self._interrupts.inc(
+                ticks, os=self.os, vector="clock", spurious="false"
+            )
         if batches:
             self._ff_batches.inc(batches, os=self.os)
             self._ff_segments.inc(segments, os=self.os)
             self._ff_ns.inc(span_ns, os=self.os)
+        if dpcs:
+            self._dpcs.inc(dpcs, os=self.os)
+            self._cpu_owner = running
+        if preempts:
+            self._ctx_switches.inc(preempts, os=self.os, reason="preempt")
 
     def flush_calendar_stats(self) -> None:
         """Publish event-calendar health gauges (run at metrics snapshot)."""

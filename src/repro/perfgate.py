@@ -19,6 +19,10 @@ reviewable metrics file and compare such files:
   fleet and remote session benchmarks);
 * ``sessions_per_s`` — whole sessions per second, from a ``sessions``
   entry (the fleet and remote session benchmarks);
+* ``live_events`` — engine events that ran rather than being
+  synthesized by fast forward or a tick span (the idle tick-span
+  benchmark): a deterministic work count, so it moves only when the
+  simulator does more or less work, never with host speed;
 * ``idle_ff_speedup`` — the fast-forward ablation's measured speedup,
   which additionally carries an absolute floor (see ``SPEEDUP_FLOOR``);
 * ``batch_speedup`` — the batched side-calendar dispatch speedup over
@@ -84,6 +88,7 @@ _DIRECTIONS: Dict[str, bool] = {
     "relative_cost": False,
     "events_per_s": True,
     "sessions_per_s": True,
+    "live_events": False,
     "sim_ns_per_wall_ms": True,
     "idle_ff_speedup": True,
     "batch_speedup": True,
@@ -118,6 +123,8 @@ def collect_metrics(raw: dict) -> dict:
             entry["events_per_s"] = float(extra["events"]) / median
         if extra.get("sessions") and median > 0:
             entry["sessions_per_s"] = float(extra["sessions"]) / median
+        if "live_events" in extra:
+            entry["live_events"] = int(extra["live_events"])
         if extra.get("sim_ns") and median > 0:
             entry["sim_ns_per_wall_ms"] = float(extra["sim_ns"]) / (median * 1e3)
         if "idle_ff_speedup" in extra:

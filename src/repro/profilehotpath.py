@@ -1,16 +1,18 @@
 """Hot-path profiler for the simulation substrate.
 
-Runs the two benchmarks that bound the engine core's performance — the
-schedule/cancel-heavy calendar churn and the full keystroke pipeline —
-under :mod:`cProfile` and writes a top-N cumulative-time report:
+Runs the benchmarks that bound the engine core's performance — the
+schedule/cancel-heavy calendar churn, the full keystroke pipeline and
+idle time completed in tick spans (the fleet's hot path) — under
+:mod:`cProfile` and writes a top-N cumulative-time report:
 
     python -m repro.profilehotpath [-o .profile-hotpath.txt] [--top 20]
 
 The report is the artifact ``make profile-hotpath`` produces.  It
 exists so a perf regression found by the gate can be localised without
 re-deriving the profiling setup: the workloads here are the same shapes
-``benchmarks/test_simulator_perf.py`` times, so a function that grows
-in this report is the function that moved the gate.
+``benchmarks/test_simulator_perf.py`` and ``test_fastforward.py`` time,
+so a function that grows in this report is the function that moved the
+gate.
 """
 
 from __future__ import annotations
@@ -77,14 +79,35 @@ def keystroke_pipeline(keystrokes: int = 100) -> int:
     return app.keystrokes
 
 
+def idle_tick_spans(sim_ms: float = 10_000.0) -> int:
+    """10 idle sim-s per OS, instrumented, in a sink-less obs session
+    (mirrors ``test_idle_tick_span``): tick spans complete quiet ticks,
+    housekeeping and Win95 background DPC episodes in closed form."""
+    from .core import IdleLoopInstrument
+    from .obs import observed
+    from .sim.timebase import ns_from_ms
+    from .winsys import boot
+
+    samples = 0
+    for os_name in ("nt351", "nt40", "win95"):
+        with observed(trace=False, metrics=False):
+            system = boot(os_name)
+            instrument = IdleLoopInstrument(system)
+            instrument.install()
+            system.run_for(ns_from_ms(sim_ms))
+        samples += instrument.samples_collected
+    return samples
+
+
 _WORKLOADS: List[Tuple[str, Callable[[], object]]] = [
     ("calendar-churn", calendar_churn),
     ("keystroke-pipeline", keystroke_pipeline),
+    ("idle-tick-spans", idle_tick_spans),
 ]
 
 
 def profile_report(top: int = 20, repeats: int = 3) -> str:
-    """Profile both hot-path workloads; return the combined report text.
+    """Profile every hot-path workload; return the combined report text.
 
     Each workload runs ``repeats`` times inside one profiler so ncalls
     are stable multiples and one-off warm-up (import, personality

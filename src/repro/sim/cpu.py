@@ -152,22 +152,59 @@ class CPU:
         self._completion_seq = None
         callback(context)
 
-    def credit_idle_batch(self, work: Work, duration_ns: int, count: int) -> None:
+    def credit_completions(self, work: Work, duration_ns: int, count: int) -> None:
         """Account ``count`` back-to-back completions of ``work`` at once.
 
-        The idle fast-forward path (see
-        :meth:`repro.winsys.kernel.Kernel._try_fast_forward`) skips the
-        execution of ``count`` identical idle-loop segments and calls
-        this instead.  It must be bit-identical to ``count`` sequential
-        :meth:`start`/:meth:`_complete` rounds: a completed segment
-        charges its events at fraction 1.0 — whole counts that never
-        touch the fractional residual — so the batch add below matches
-        exactly.  The CPU must be free (the kernel guarantees it).
+        The idle fast-forward path and tick spans (see
+        :meth:`repro.winsys.kernel.Kernel._try_fast_forward`) skip the
+        execution of ``count`` identical segments — idle-loop passes,
+        DPCs — and call this instead.  It must be bit-identical to
+        ``count`` sequential :meth:`start`/:meth:`_complete` rounds: a
+        completed segment charges its events at fraction 1.0 — whole
+        counts that never touch the fractional residual — so the batch
+        add below matches exactly.  The CPU must be free (the kernel
+        guarantees it).
         """
         if self._work is not None:
-            raise SimulationError("credit_idle_batch while busy")
+            raise SimulationError("credit_completions while busy")
         self.busy_ns += duration_ns * count
         self.perf.charge_events_whole(work.events, count)
+
+    @staticmethod
+    def split(work: Work, duration_ns: int, executed_ns: int) -> Tuple[float, int]:
+        """``(fraction, remaining_cycles)`` of ``work`` (wall duration
+        ``duration_ns``) preempted after ``executed_ns`` of progress —
+        the rounding :meth:`preempt` applies."""
+        fraction = executed_ns / duration_ns if duration_ns else 1.0
+        return fraction, work.cycles - round(work.cycles * fraction)
+
+    def credit_preempted(self, work: Work, duration_ns: int, executed) -> None:
+        """Account segments of ``work`` preempted and later resumed to
+        completion, one per entry of ``executed`` (ns of progress at the
+        preemption), in that order.
+
+        Bit-identical to a :meth:`preempt` after each ``executed_ns``
+        followed by the remainder's :meth:`start`/:meth:`_complete`: the
+        pro-rata charge goes through :meth:`PerfCounters.charge` in the
+        same order, so the fractional residuals evolve identically, and
+        the remainder's whole counts are added as its completion would.
+        The CPU must be free.
+        """
+        if self._work is not None:
+            raise SimulationError("credit_preempted while busy")
+        perf = self.perf
+        tally = perf._tally
+        events = [(event, count) for event, count in work.events.items() if count]
+        busy = 0
+        for executed_ns in executed:
+            fraction, remaining_cycles = self.split(work, duration_ns, executed_ns)
+            if fraction > 0:
+                for event, count in events:
+                    perf.charge(event, count * fraction)
+            for event, count in events:
+                tally[event] += count - round(count * fraction)
+            busy += executed_ns + (remaining_cycles * NS_PER_SEC) // self.hz
+        self.busy_ns += busy
 
     def preempt(self) -> Tuple[object, Optional[Work]]:
         """Take the CPU away from the current segment.
@@ -183,10 +220,9 @@ class CPU:
         work, context = self._work, self._context
         total_ns = self._duration_ns
         executed_ns = min(self._executed_ns(), total_ns)
-        fraction = executed_ns / total_ns if total_ns else 1.0
+        fraction, remaining_cycles = self.split(work, total_ns, executed_ns)
         self._charge_progress(fraction)
         self.busy_ns += executed_ns
-        remaining_cycles = work.cycles - round(work.cycles * fraction)
         self._work = None
         self._context = None
         self._on_complete = None

@@ -60,9 +60,10 @@ bit-identical to ordinary execution: the active run horizon, and a
 :meth:`Simulator.fast_forward` jump that advances the clock *and* the
 sequence/executed counters exactly as executing the skipped events one
 by one would have.  Tick spans extend that across clock ticks:
-:meth:`Simulator.tick_span_window` says how far the periodic tick is the
-only pending work, and :meth:`Simulator.commit_tick_span` lands the
-result, re-keying the tick entry exactly as the skipped ticks would have.
+:meth:`Simulator.tick_span_window` says how far the periodic sources
+(the tick, Win95's background activity) are the only pending work, and
+:meth:`Simulator.commit_tick_span` lands the result, re-keying their
+entries exactly as the skipped events would have.
 """
 
 from __future__ import annotations
@@ -932,50 +933,66 @@ class Simulator:
         self.events_executed += events
         self.events_fast_forwarded += events
 
-    def tick_span_window(self, hid: int) -> Optional[Tuple[int, int]]:
-        """``(tick_ns, limit_ns)`` when a tick span may start, else None.
+    def tick_span_window(
+        self, hids: Tuple[int, ...]
+    ) -> Optional[Tuple[int, List[Optional[Tuple[int, int]]]]]:
+        """``(limit_ns, keys)`` when a tick span may start, else None.
 
         A tick span (see :meth:`repro.winsys.kernel.Kernel._span_ticks`)
-        completes whole quiet clock periods in one callback.  It may
-        start only inside a :meth:`run` without ``until`` predicate,
-        ``max_events`` or pending stop, with the side calendar empty,
-        and when the earliest live entry is a no-argument kind entry of
-        handler ``hid`` — the periodic tick — due at ``tick_ns``.
-        ``limit_ns`` is the last instant a synthesized event may occupy:
-        one before the earliest *other* entry (cancelled ones included,
-        so a span never passes an entry the slow path would pop, and
-        every synthesized event has a larger seq than any pending one),
-        capped at the run horizon, where the slow path still executes.
-        Returns None when neither bound exists.
+        completes whole clock periods in one callback, passing over the
+        entries of the *periodic sources* ``hids`` (the clock tick, and
+        any other self-re-arming no-argument kind handler the span
+        reproduces in closed form).  It may start only inside a
+        :meth:`run` without ``until`` predicate, ``max_events`` or
+        pending stop, with the side calendar empty, and when the
+        earliest live entry belongs to one of ``hids``.
+
+        ``keys[i]`` is the ``(time, seq)`` of handler ``hids[i]``'s
+        pending entry when it is among the calendar's earliest entries
+        (before any other one), else None.  ``limit_ns`` is the last
+        instant a synthesized event may occupy: one before the earliest
+        *other* entry (cancelled ones included, so a span never passes
+        an entry the slow path would pop, and every synthesized event
+        has a larger seq than any pending one), capped at the run
+        horizon, where the slow path still executes.  Returns None when
+        neither bound exists.
         """
         if not self._span_allowed or self._stop_requested or self._soa_n:
             return None
         self._discard_cancelled()
-        queue = self._queue
-        head = self._next
-        if head is not None:
-            others = queue[:1]
-        elif queue:
-            # Heap order: the second-smallest entry is a child of the root.
-            head = queue[0]
-            others = queue[1:3]
-        else:
-            return None
-        payload = head[2]
-        if payload.__class__ is not int or payload != hid or len(head) != 3:
-            return None
+        wanted = len(hids) + 1
+        # The i-th smallest heap entry sits at depth < i, so the first
+        # ``wanted`` entries lie in the heap's top ``wanted`` levels
+        # (behind the slot, which is earlier than the whole heap).
+        # Keys are unique, so sorting never compares payloads.
+        earliest = sorted(self._queue[: (1 << wanted) - 1])
+        if self._next is not None:
+            earliest.insert(0, self._next)
+        keys: List[Optional[Tuple[int, int]]] = [None] * len(hids)
         limit = self._horizon
-        for entry in others:
+        kc = self._kind_cancelled
+        for entry in earliest[:wanted]:
+            payload = entry[2]
+            if (
+                payload.__class__ is int
+                and len(entry) == 3
+                and payload in hids
+                and entry[1] not in kc
+            ):
+                i = hids.index(payload)
+                if keys[i] is None:
+                    keys[i] = (entry[0], entry[1])
+                    continue
             if limit is None or entry[0] <= limit:
                 limit = entry[0] - 1
-        if limit is None:
+            break
+        if limit is None or keys == [None] * len(hids):
             return None
-        return head[0], limit
+        return limit, keys
 
     def commit_tick_span(
         self,
-        tick_ns: int,
-        tick_seq: int,
+        rekeyed: List[Tuple[int, int, int]],
         now_ns: int,
         seq: int,
         events: int,
@@ -983,18 +1000,23 @@ class Simulator:
     ) -> None:
         """Land a tick span computed against :meth:`tick_span_window`.
 
-        Moves the pending tick entry (the calendar head) to the
-        ``(tick_ns, tick_seq)`` key the per-tick path would have given
-        it, sets the clock and sequence counter to ``now_ns`` / ``seq``,
-        accounts ``events`` synthesized callbacks as executed *and*
-        fast-forwarded, and raises the calendar high-water mark to the
-        ``depth_peak`` the spanned ticks would have reached.  Nothing
-        may touch the calendar between the window and the commit.
+        ``rekeyed`` holds one ``(time, seq, hid)`` per periodic entry the
+        window reported: the key the per-tick path would have given that
+        source's pending entry (its old key when the span never reached
+        it).  Those entries are the calendar's earliest, so they are
+        lifted off the front and pushed back under their new keys.  The
+        clock and sequence counter move to ``now_ns`` / ``seq``,
+        ``events`` synthesized callbacks count as executed *and*
+        fast-forwarded, and the calendar high-water mark rises to the
+        ``depth_peak`` the spanned work would have reached.  Nothing may
+        touch the calendar between the window and the commit.
         """
-        if now_ns < self._now or tick_ns <= now_ns or seq <= tick_seq:
+        if now_ns < self._now or any(
+            time_ns <= now_ns or key_seq >= seq for time_ns, key_seq, _ in rekeyed
+        ):
             raise SimulationError(
                 f"inconsistent tick span: now {self._now} -> {now_ns} ns, "
-                f"tick at {tick_ns} ns (seq {tick_seq}, counter {seq})"
+                f"re-keyed {rekeyed} (counter {seq})"
             )
         if self._horizon is not None and now_ns > self._horizon:
             raise SimulationError(
@@ -1002,16 +1024,31 @@ class Simulator:
                 f"{self._horizon} ns"
             )
         queue = self._queue
-        head = self._next
-        if head is not None:
-            self._next = None
-        else:
-            head = _heappop(queue)
-        entry = (tick_ns, tick_seq, head[2])
-        if queue and tick_ns >= queue[0][0]:
-            _heappush(queue, entry)
-        else:
-            self._next = entry
+        lifted = []
+        for _ in rekeyed:
+            head = self._next
+            if head is not None:
+                self._next = None
+            else:
+                head = _heappop(queue)
+            lifted.append(head[2])
+        if sorted(lifted) != sorted(hid for _, _, hid in rekeyed):
+            raise SimulationError(
+                f"tick span re-keys handlers {lifted} it did not window"
+            )
+        # Ascending keys keep the slot invariant (slot before the heap).
+        for entry in sorted(rekeyed):
+            nxt = self._next
+            if nxt is None:
+                if queue and entry[0] >= queue[0][0]:
+                    _heappush(queue, entry)
+                else:
+                    self._next = entry
+            elif entry[0] < nxt[0]:
+                self._next = entry
+                _heappush(queue, nxt)
+            else:
+                _heappush(queue, entry)
         self._now = now_ns
         self._seq = seq
         self.events_executed += events

@@ -184,14 +184,20 @@ class PeriodicClock:
     def stop(self) -> None:
         self._running = False
 
-    def span_window(self):
-        """:meth:`Simulator.tick_span_window` for this clock's tick, or
-        None while the clock is stopped."""
+    @property
+    def tick_hid(self) -> int:
+        """Engine handler id of the tick entry (re-keyed by tick spans)."""
+        return self._tick_hid
+
+    def span_window(self, *periodic: int):
+        """:meth:`Simulator.tick_span_window` over this clock's tick and
+        the ``periodic`` handler ids (keys in that order), or None while
+        the clock is stopped."""
         if not self._running:
             return None
-        return self.sim.tick_span_window(self._tick_hid)
+        return self.sim.tick_span_window((self._tick_hid,) + periodic)
 
-    def credit_quiet_ticks(self, count: int) -> None:
+    def credit_ticks(self, count: int) -> None:
         """Account ``count`` ticks a tick span completed analytically."""
         self.ticks += count
         self.controller.credit_deliveries(self.VECTOR, count)

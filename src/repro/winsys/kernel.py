@@ -32,6 +32,7 @@ from ..sim.devices.keyboard import KeyEvent
 from ..sim.devices.mouse import MouseEvent
 from ..sim.engine import fast_forward_default
 from ..sim.machine import Machine
+from ..sim.timebase import NS_PER_SEC
 from ..sim.work import Work
 from .filesystem import BufferCache, FileSystem
 from .gdi import GdiBatch
@@ -172,6 +173,12 @@ class Kernel:
         # occurrence (docs/performance.md, "inner loop").
         self._dispatch_hid = self.sim.register_handler(self._dispatch)
         self._idle_bg_hid = self.sim.register_handler(self._idle_background_tick)
+        #: What a tick span reproduces (set at boot): the background-
+        #: activity handler when it queues a DPC, and the wall durations
+        #: of the clock ISR and the tick, housekeeping and background
+        #: DPCs.
+        self._span_bg_hid: Optional[int] = None
+        self._span_costs = (0, 0, 0, 0)
         # Precompiled syscall dispatch table: concrete syscall class →
         # bound perform method.  Subclasses resolve through their MRO on
         # first use (see _resolve_perform) and are cached here, so the
@@ -225,6 +232,15 @@ class Kernel:
             self.sim.schedule_kind(
                 personality.idle_background_period_ns, self._idle_bg_hid
             )
+            if personality.idle_background_cycles > 0:
+                self._span_bg_hid = self._idle_bg_hid
+        duration = self.cpu.duration_ns
+        self._span_costs = (
+            interrupts.isr_duration_ns("clock"),
+            duration(personality.tick_dpc_work),
+            duration(personality.housekeeping_work),
+            duration(personality.idle_background_work),
+        )
 
     # ------------------------------------------------------------------
     # Thread management
@@ -303,6 +319,10 @@ class Kernel:
             thread = self.scheduler.pick()
             if thread is not None:
                 self._run_thread(thread)
+            elif self.fast_forward and self.running is None:
+                # Nothing runnable on a bare CPU (no idle-loop
+                # instrument): span the periodic work that follows.
+                self._span_ticks()
 
     def _preempt_running_thread(self) -> None:
         thread = self.running
@@ -719,7 +739,7 @@ class Kernel:
             return None
         start = sim.now + duration
         sim.fast_forward(batch * duration, events=batch)
-        self.cpu.credit_idle_batch(work, duration, batch)
+        self.cpu.credit_completions(work, duration, batch)
         self.fast_forward_batches += 1
         self.fast_forward_segments += batch
         if self.obs_sinks is not None:
@@ -727,70 +747,172 @@ class Kernel:
         return array("q", range(start, start + batch * duration, duration))
 
     def _span_ticks(self, work=None, duration: int = 0, space: int = 0):
-        """Complete whole quiet clock periods analytically (a tick span).
+        """Complete whole clock periods of an idle system analytically.
 
-        A quiet tick is one whose ISR post-action queues no DPC: no
-        armed timer, no ready thread, nothing above idle priority
-        running, and not a housekeeping tick.  While the tick is the
-        only pending work (:meth:`Simulator.tick_span_window`), each
-        period replays in closed form what the per-tick path executes:
+        While the only pending work is periodic — the clock tick and
+        Win95's background activity (:meth:`Simulator.tick_span_window`)
+        — and nothing but the idle loop (``duration``: the instrument's
+        segment length) or nothing at all (a bare CPU) would run, each
+        *episode* replays in closed form exactly what the per-tick path
+        executes:
 
-        * the clock event: one interrupt and the ISR's events charged,
-          ISR busy time, the post-action and the re-arm scheduled;
-        * the ISR return, whose only effect on a quiet tick is the
-          running thread's quantum tick;
-        * with ``duration`` (the idle-loop instrument is running): the
-          fast-forward batch up to the tick, then the one segment the
-          ISR steals from, elongated by exactly the ISR duration and
-          completing — one completion event — after the ISR returns.
+        * a quiet tick: the interrupt and its ISR (events, busy time,
+          delivery), the ISR return's quantum tick, and with the
+          instrument the fast-forward batch up to the tick plus the one
+          segment the ISR elongates;
+        * a tick that queues DPCs — the tick DPC while app timers are
+          armed (none due), housekeeping every tenth tick, or both;
+        * a background DPC between ticks, or on a tick instant, where
+          it runs first and the tick queues the tick DPC behind it;
 
-        A span stops at the first tick that is not quiet, whose
-        elongated segment would end on or past the limit or the next
-        tick, that lands exactly on a segment end (the completion then
-        races the ISR return), or whose records would not fit in
-        ``space``; the per-tick path takes over from there (with the
-        instrument, starting with the fast-forward batch before that
-        tick).  Every counter the skipped events would have moved is
-        moved by the same amount, and the re-armed tick keeps the
-        ``(time, seq)`` key it would have had.
+        with DPCs, the dispatch that preempts the idle segment
+        (:meth:`CPU.split`'s rounding, pro-rata charges in call order),
+        the DPCs back to back, and the resumed remainder whose
+        completion is the record.  Finished threads' timers are reaped
+        at the first spanned tick, as that tick's ISR return would.
+
+        A span stops before the first episode that would fire an app
+        timer, reach the next periodic event, the window limit or the
+        horizon, land a tick or background instant exactly on a
+        segment end, preempt through a requeue-jitter source, or whose
+        records would not fit in ``space``; the per-tick path takes
+        over from there.  Every counter the skipped events would have
+        moved is moved by the same amount, and the periodic entries
+        keep the ``(time, seq)`` keys they would have had.
 
         Returns the segment completion times (an empty array without
-        ``duration``), or None when not even one tick could be spanned.
+        ``duration``), or None when not even one episode was spanned.
         """
-        clock = self.machine.clock
-        housekeeping = self.personality.housekeeping_period_ticks
-        ticks = clock.ticks
-        if (ticks + 1) % housekeeping == 0 or self._timers:
-            return None
         sinks = self.obs_sinks
-        interrupts = self.machine.interrupts
         if sinks is not None:
             if sinks.tracing:
                 return None  # every tick is an irq instant on the trace
-        elif interrupts.obs is not None:
+        elif self.machine.interrupts.obs is not None:
             return None  # an interrupt observer the span cannot account
-        window = clock.span_window()
+        clock = self.machine.clock
+        bg_hid = self._span_bg_hid
+        window = clock.span_window() if bg_hid is None else clock.span_window(bg_hid)
         if window is None:
             return None
-        tick_ns, limit = window
+        limit, keys = window
+        never = limit + 1  # a source due past the limit is never reached
+        tick_ns, tick_seq = keys[0] or (never, 0)
+        bg_ns, bg_seq = (bg_hid is not None and keys[1]) or (never, 0)
+        if tick_ns > limit and bg_ns > limit:
+            return None  # live work comes first
+        isr, tick_dpc_ns, hk_ns, bg_dpc_ns = self._span_costs
         period = clock.period_ns
-        isr_ns = interrupts.isr_duration_ns(clock.VECTOR)
+        hk_period = self.personality.housekeeping_period_ticks
+        hk_in = -(clock.ticks + 1) % hk_period  # ticks before housekeeping
+        reap, due = self._span_timers()
+        armed = due is not None
+        # A preempted idle thread is re-queued at the front, which a
+        # requeue-jitter source may perturb (an RNG draw).
+        jitter = self.scheduler.requeue_jitter is not None
+        completions = array("q")
         sim = self.sim
         now = sim.now
         seq = sim._seq
-        events = spanned = batches = segments = 0
-        completions = array("q")
-        while (ticks + spanned + 1) % housekeeping:
+        first_tick_ns = tick_ns
+        events = dpcs = dpc_ticks = 0
+        batches = segments = quantum = 0
+        tick_dpcs = hks = bgs = 0
+        preempted = []  # idle-segment progress at each DPC preemption
+        depth = 0  # calendar depth above the span's starting depth
+        while True:
+            if tick_ns < bg_ns and hk_in and not armed:
+                # A quiet tick: no DPC.  With the instrument, the batch
+                # up to the tick, then the segment the ISR elongates.
+                at = tick_ns
+                if at > limit:
+                    break
+                if duration:
+                    k = (at - now - 1) // duration
+                    end = now + (k + 1) * duration
+                    done = end + isr
+                    if (
+                        k < 0
+                        or end == at
+                        or len(completions) + k >= space
+                        or done > limit
+                        or done >= at + period
+                        or done >= bg_ns
+                    ):
+                        break
+                    if k:
+                        completions.extend(
+                            range(now + duration, end - duration + 1, duration)
+                        )
+                        batches += 1
+                        segments += k
+                    completions.append(done)
+                    # Sequence numbers: k batched segments, the stolen-
+                    # from segment's start, then the tick's three
+                    # schedules (pushed completion, ISR return, re-arm).
+                    # Events: k segments, the tick, its ISR return, the
+                    # completion.
+                    tick_seq = seq + k + 3
+                    seq += k + 4
+                    events += k + 3
+                else:
+                    done = at + isr
+                    if done > limit or done >= bg_ns:
+                        break
+                    tick_seq = seq + 1  # the ISR return, then the re-arm
+                    seq += 2
+                    events += 2
+                hk_in -= 1
+                tick_ns = at + period
+                now = done
+                continue
+            # A DPC episode.
+            if bg_ns < tick_ns:
+                at, tick, bg = bg_ns, False, True
+            else:
+                at, tick, bg = tick_ns, True, bg_ns == tick_ns
+                if bg and bg_seq > tick_seq:
+                    break  # the tick first on a shared instant: not modelled
+            if at > limit:
+                break
+            chain = n = 0  # DPC time and count, in run order
+            tick_dpc = hk = False
+            if tick:
+                if armed and at + isr >= due:
+                    break  # the ISR return fires an app timer
+                # The tick DPC runs while timers are armed, or when the
+                # background DPC has preempted the idle thread (ready).
+                tick_dpc = armed or (bg and duration > 0)
+                hk = not hk_in
+                if tick_dpc:
+                    chain += tick_dpc_ns
+                    n += 1
+                if hk:
+                    chain += hk_ns
+                    n += 1
+            if bg:
+                if tick and isr >= bg_dpc_ns:
+                    break  # the tick's DPCs would not queue behind it
+                chain += bg_dpc_ns
+                n += 1
+            next_tick = tick_ns + period if tick else tick_ns
+            next_bg = bg_ns + self.personality.idle_background_period_ns if bg else bg_ns
             if duration:
-                k = (tick_ns - now - 1) // duration
-                start = now + k * duration  # the segment the ISR steals from
-                done = start + duration + isr_ns
+                if jitter:
+                    break
+                # The preempting dispatch runs at the ISR return for a
+                # tick alone, else at the background instant.
+                episode = self._preempted_segment(
+                    work, duration, now, at, at if bg else at + isr,
+                    isr if tick else 0, chain,
+                )
+                if episode is None:
+                    break
+                k, start, executed, done = episode
                 if (
-                    k < 0
-                    or start + duration == tick_ns
+                    len(completions) + k >= space
                     or done > limit
-                    or done >= tick_ns + period
-                    or len(completions) + k >= space
+                    or done >= next_tick
+                    or done >= next_bg
                 ):
                     break
                 if k:
@@ -798,38 +920,143 @@ class Kernel:
                     batches += 1
                     segments += k
                 completions.append(done)
-                # Sequence numbers: k batched segments, the stolen-from
-                # segment's completion, then the tick's three schedules
-                # (re-queued completion, ISR return, re-arm).  Events:
-                # k segments, the tick, its ISR return, the completion.
-                seq += k + 4
-                events += k + 3
+                preempted.append(executed)
+                if not bg:
+                    quantum += 1  # the ISR return finds the idle thread running
+                # Sequence numbers: k batched segments and the segment
+                # start; background (dispatch, re-arm); tick (pushed
+                # completion, ISR return, re-arm) and the ISR return's
+                # dispatch; the first DPC's start; per DPC a dispatch
+                # and the next start.  Events: k segments; background;
+                # tick and ISR return; the preempting dispatch (plus, on
+                # a shared instant, the ISR return's own); per DPC its
+                # completion and a dispatch; the remainder's completion.
+                if bg:
+                    bg_seq = seq + k + 2
+                if tick:
+                    tick_seq = seq + k + 3 + 2 * bg
+                seq += k + 2 + 2 * bg + 4 * tick + 2 * n
+                events += k + 2 + bg + 2 * tick + (tick and bg) + 2 * n
+                # Peak calendar depth: the re-arms land while the ISR
+                # return, the background dispatch and the stolen-from
+                # segment's dead and live completions are pending.
+                peak = 3 * tick + 2 * bg - (tick and bg)
             else:
-                done = tick_ns + isr_ns
-                if done > limit:
+                if not bg:
+                    done = at + isr + chain
+                    step = 3 + 2 * n
+                else:
+                    # As with the instrument, minus the idle thread: the
+                    # tick pushes no completion, the last dispatch finds
+                    # nothing to run, and on a shared instant the ISR
+                    # return dispatches only if it queued a DPC.
+                    done = at + chain
+                    step = 2 + 2 * n + 2 * tick + (n > 1)
+                if done > limit or done >= next_tick or done >= next_bg:
                     break
-                seq += 2  # the tick schedules its ISR return and re-arm
-                events += 2
+                if bg:
+                    bg_seq = seq + 1
+                if tick:
+                    tick_seq = seq + 1 + 2 * bg
+                seq += step
+                events += step
+                peak = tick + bg
+            if peak > depth:
+                depth = peak
+            if tick:
+                dpc_ticks += 1
+                hk_in = hk_period - 1 if hk else hk_in - 1
+                tick_ns = next_tick
+                tick_dpcs += tick_dpc
+                hks += hk
+            if bg:
+                bg_ns = next_bg
+                bgs += 1
+            dpcs += n
             now = done
-            tick_ns += period
-            spanned += 1
-        if not spanned:
-            return None
-        # Peak calendar depth inside a spanned tick: the re-arm lands
-        # while the ISR return is pending — and, with the instrument,
-        # while the stolen-from segment's dead and live completions are.
-        depth_peak = sim.calendar_depth() + (3 if duration else 1)
-        # The re-arm is each tick's last schedule.
-        sim.commit_tick_span(tick_ns, seq - 1, now, seq, events, depth_peak)
-        clock.credit_quiet_ticks(spanned)
+        ticks = (tick_ns - first_tick_ns) // period
+        quiet = ticks - dpc_ticks
+        if quiet:
+            # A quiet tick's peak: the re-arm lands while the ISR return
+            # and (with the instrument) the dead and live completions are.
+            depth = max(depth, 3 if duration else 1)
+        if not quiet and not dpcs:
+            return None  # not even one episode
+        rekeyed = []
+        if keys[0] is not None:
+            rekeyed.append((tick_ns, tick_seq, clock.tick_hid))
+        if bg_hid is not None and keys[1] is not None:
+            rekeyed.append((bg_ns, bg_seq, bg_hid))
+        sim.commit_tick_span(
+            rekeyed, now, seq, events, sim.calendar_depth() + depth
+        )
+        if ticks:
+            clock.credit_ticks(ticks)
+            for key in reap:
+                del self._timers[key]
+        cpu = self.cpu
+        personality = self.personality
+        if tick_dpcs:
+            cpu.credit_completions(personality.tick_dpc_work, tick_dpc_ns, tick_dpcs)
+        if hks:
+            cpu.credit_completions(personality.housekeeping_work, hk_ns, hks)
+        if bgs:
+            cpu.credit_completions(personality.idle_background_work, bg_dpc_ns, bgs)
+        self.dpcs_run += dpcs
+        preempts = len(preempted)
         if duration:
-            self.cpu.credit_idle_batch(work, duration, len(completions))
-            self.running.quantum_ticks_used += spanned
+            cpu.credit_completions(work, duration, segments + quiet)
+            cpu.credit_preempted(work, duration, preempted)
+            thread = self.running
+            thread.quantum_ticks_used += quiet + quantum
+            thread.dispatches += preempts
+            self.context_switches += preempts
             self.fast_forward_batches += batches
             self.fast_forward_segments += segments
         if sinks is not None:
-            sinks.tick_span(spanned, batches, segments, segments * duration)
+            sinks.tick_span(
+                ticks, batches, segments, segments * duration, dpcs, preempts,
+                self.running,
+            )
         return completions
+
+    def _preempted_segment(self, work, duration, now, at, first, stolen, chain):
+        """Where a DPC episode at ``at`` leaves the idle loop.
+
+        The loop completes ``k`` whole segments from ``now``; the next
+        one, begun at ``start``, is preempted by the dispatch at
+        ``first`` after ``stolen`` ns of ISR time (a tick's, when it
+        fired at ``at``), the DPC chain runs for ``chain`` ns, and the
+        remainder — rounded as :meth:`CPU.split` does — completes at
+        ``done``.  Returns ``(k, start, executed, done)``, or None when
+        the per-tick path must run the episode: a segment ends exactly
+        at ``at``, nothing would remain, or a cancelled completion of
+        the preempted segment would outlive the episode.
+        """
+        k = (at - now - 1) // duration
+        start = now + k * duration
+        end = start + duration
+        if k < 0 or end == at:
+            return None
+        executed = max(0, first - start - stolen)
+        _, remaining = self.cpu.split(work, duration, executed)
+        if remaining <= 0:
+            return None
+        done = first + chain + (remaining * NS_PER_SEC) // self.cpu.hz
+        if end + stolen >= done:
+            return None
+        return k, start, executed, done
+
+    def _span_timers(self):
+        """``(reap, due)`` for a tick span: the keys of finished threads'
+        timers (the next tick's ISR return reaps them) and the earliest
+        ``next_due_ns`` of the others, None when no timer stays armed."""
+        timers = self._timers
+        if not timers:
+            return (), None
+        reap = [key for key, timer in timers.items() if timer.thread.done]
+        dues = [t.next_due_ns for t in timers.values() if not t.thread.done]
+        return reap, min(dues) if dues else None
 
     def _block_value(self, thread: SimThread, reason: str):
         """Block from inside a pending action (returns the sentinel)."""
@@ -1025,8 +1252,9 @@ class Kernel:
             and self.scheduler.top < 0
             and not self.cpu.busy
         ):
-            # A bare idle CPU (no idle-loop instrument installed): span
-            # the quiet ticks that follow this one.
+            # A bare idle CPU that no dispatch reached since live work
+            # ended (a run resumed at its horizon; a device, link or
+            # fault event that queued nothing): span what follows.
             self._span_ticks()
 
     def _on_keyboard(self, event: KeyEvent) -> None:

@@ -46,6 +46,11 @@ class Scheduler:
         """
         self._requeue_jitter = jitter
 
+    @property
+    def requeue_jitter(self) -> Optional[Callable[[SimThread], bool]]:
+        """The installed preemption-requeue jitter source, or None."""
+        return self._requeue_jitter
+
     def _queue_for(self, priority: int) -> Deque[SimThread]:
         queue = self._ready.get(priority)
         if queue is None:

@@ -267,8 +267,13 @@ class TestRunnerFlag:
 SPAN_TICKS = 3200
 
 
-def _system_state(system, instrument=None):
-    """Every observable a skipped tick could have moved."""
+def _system_state(system, instrument=None, fast_forward_counters=False):
+    """Every observable a skipped tick could have moved.
+
+    ``fast_forward_counters`` adds the fast-forward batch and segment
+    counts, which differ by design between fast forward on and off:
+    compare them only between two fast-forward runs (spanned or not).
+    """
     sim = system.sim
     kernel = system.kernel
     live = [] if sim._next is None else [sim._next[:2]]
@@ -279,6 +284,8 @@ def _system_state(system, instrument=None):
         "events_executed": sim.events_executed,
         "calendar": live,
         "calendar_high_water": sim.calendar_high_water,
+        "compactions": sim.compactions,
+        "cancelled": (sim._cancelled, sorted(sim._kind_cancelled)),
         "busy_ns": system.machine.cpu.busy_ns,
         "perf": dict(system.perf._tally),
         "residual": dict(system.perf._residual),
@@ -286,12 +293,33 @@ def _system_state(system, instrument=None):
         "delivered": dict(system.machine.interrupts.delivered),
         "context_switches": kernel.context_switches,
         "dpcs_run": kernel.dpcs_run,
-        "quantum_ticks": [t.quantum_ticks_used for t in kernel.threads],
+        "timers": [  # thread ids come from a process-wide counter
+            (kernel.threads.index(timer.thread), timer.timer_id, timer.next_due_ns)
+            for timer in kernel._timers.values()
+        ],
+        "threads": [
+            (t.state, t.quantum_ticks_used, t.dispatches) for t in kernel.threads
+        ],
     }
+    if fast_forward_counters:
+        state["fast_forward"] = (
+            kernel.fast_forward_batches,
+            kernel.fast_forward_segments,
+        )
     if instrument is not None:
         state["records"] = instrument.buffer.records()
         state["dropped"] = instrument.buffer.dropped
     return state
+
+
+def _reset_high_water(system):
+    """Start the calendar high-water mark from the current depth.
+
+    Boot schedules more entries than an idle system ever holds again,
+    so a peak recorded during boot would mask a span that under-counts
+    its own peak; both sides of a comparison reset it the same way.
+    """
+    system.sim.calendar_high_water = system.sim.calendar_depth()
 
 
 def _idle_run(os_name, fast_forward, *, instrumented=True, chunks_ms=None,
@@ -303,6 +331,7 @@ def _idle_run(os_name, fast_forward, *, instrumented=True, chunks_ms=None,
     if instrumented:
         instrument = IdleLoopInstrument(system, buffer_capacity=capacity)
         instrument.install()
+    _reset_high_water(system)
     for chunk in chunks_ms or [sim_ms]:
         system.run_for(ns_from_ms(chunk))
     return system, instrument
@@ -311,6 +340,11 @@ def _idle_run(os_name, fast_forward, *, instrumented=True, chunks_ms=None,
 def _spanned_events(system):
     """Synthesized events beyond plain fast-forward segments."""
     return system.sim.events_fast_forwarded - system.kernel.fast_forward_segments
+
+
+def _live_events(system):
+    """Events the engine actually executed (not synthesized)."""
+    return system.sim.events_executed - system.sim.events_fast_forwarded
 
 
 def _chunks(seed, total_ms, max_chunk_ms=97.3):
@@ -332,6 +366,10 @@ class TestTickSpanEquivalence:
         assert on.machine.clock.ticks >= SPAN_TICKS
         assert _spanned_events(on) > 0, "no tick was ever spanned"
         assert off.sim.events_fast_forwarded == 0
+        # Housekeeping and background DPC episodes are spanned too: a
+        # handful of events around boot run live, not one per episode.
+        assert on.kernel.dpcs_run >= SPAN_TICKS // 10 - 1
+        assert _live_events(on) < 40
         assert _system_state(on, on_instr) == _system_state(off, off_instr)
 
     @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
@@ -437,7 +475,8 @@ class TestTickSpanEquivalence:
 
     def test_tick_on_segment_end_falls_back(self, monkeypatch):
         """A tick landing exactly on a segment end races the completion
-        against the ISR return: the span declines that tick."""
+        against the ISR return (or, on a housekeeping tick, against the
+        preempting dispatch): the span declines that tick."""
         from repro.winsys.kernel import Kernel
 
         declined = []
@@ -446,10 +485,9 @@ class TestTickSpanEquivalence:
         def watched(kernel, work=None, duration=0, space=0):
             clock = kernel.machine.clock
             window = clock.span_window()
-            quiet = (clock.ticks + 1) % kernel.personality.housekeeping_period_ticks
             result = span_ticks(kernel, work, duration, space)
-            if window is not None and duration and quiet:
-                tick_ns = window[0]
+            if window is not None and window[1][0] is not None and duration:
+                tick_ns = window[1][0][0]
                 gap = tick_ns - kernel.sim.now
                 if gap > 0 and gap % duration == 0:
                     assert result is None
@@ -462,6 +500,329 @@ class TestTickSpanEquivalence:
         monkeypatch.setattr(Kernel, "_span_ticks", span_ticks)
         off, off_instr = _idle_run("nt40", False, sim_ms=15_000.0)
         assert _system_state(on, on_instr) == _system_state(off, off_instr)
+
+
+# ----------------------------------------------------------------------
+# DPC episodes inside tick spans: housekeeping, armed timers, Win95
+# background activity
+# ----------------------------------------------------------------------
+
+
+def _timer_program(period_ms, exit_after=None):
+    """A Word-style app thread: arm a timer, then block in GetMessage,
+    doing a little work per WM_TIMER (and exiting after ``exit_after``
+    of them, leaving its timer armed for the kernel to reap)."""
+    from repro.sim.work import Work
+    from repro.winsys import Compute, GetMessage, SetTimer
+    from repro.winsys.messages import WM
+
+    def program():
+        yield SetTimer(timer_id=1, period_ns=ns_from_ms(period_ms))
+        handled = 0
+        while True:
+            message = yield GetMessage()
+            if message.kind == WM.TIMER:
+                handled += 1
+                yield Compute(Work(50_000, label="on-timer"))
+                if exit_after is not None and handled >= exit_after:
+                    return
+
+    return program()
+
+
+def _app_run(os_name, fast_forward, *, instrumented, period_ms, exit_after=None,
+             sim_ms=SPAN_TICKS * 10.0, chunks_ms=None, personality=None):
+    """An idle system whose only app waits on an armed timer."""
+    set_fast_forward_default(fast_forward)
+    if personality is None:
+        system = boot(os_name)
+    else:
+        from repro.winsys.system import WindowsSystem
+
+        system = WindowsSystem(personality).boot()
+    system.spawn("timer-app", _timer_program(period_ms, exit_after))
+    instrument = None
+    if instrumented:
+        instrument = IdleLoopInstrument(system)
+        instrument.install()
+    _reset_high_water(system)
+    for chunk in chunks_ms or [sim_ms]:
+        system.run_for(ns_from_ms(chunk))
+    return system, instrument
+
+
+class TestDpcSpanEquivalence:
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    @pytest.mark.parametrize("period_ms", [100, 2_500], ids=["100ms", "2500ms"])
+    def test_armed_timer_identical(self, os_name, instrumented, period_ms):
+        """Every idle tick runs the tick DPC while the timer is armed;
+        the span stops only at the ticks where it comes due."""
+        on, on_instr = _app_run(
+            os_name, True, instrumented=instrumented, period_ms=period_ms
+        )
+        off, off_instr = _app_run(
+            os_name, False, instrumented=instrumented, period_ms=period_ms
+        )
+        assert on.kernel._timers, "the timer must stay armed"
+        assert on.kernel.dpcs_run > SPAN_TICKS  # a tick DPC per tick
+        firings = SPAN_TICKS * 10 // period_ms
+        assert _live_events(on) < (firings + 10) * 40
+        assert _system_state(on, on_instr) == _system_state(off, off_instr)
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_armed_timer_random_chunking_identical(self, os_name, instrumented):
+        chunks = _chunks(seed=len(os_name) * 11 + instrumented, total_ms=6_000.0)
+        runs = [
+            _app_run(os_name, ff, instrumented=instrumented, period_ms=100,
+                     chunks_ms=chunks)
+            for ff in (True, False)
+        ]
+        assert _system_state(*runs[0]) == _system_state(*runs[1])
+
+    @given(
+        os_name=st.sampled_from(PERSONALITIES),
+        instrumented=st.booleans(),
+        period_ms=st.sampled_from([10, 30, 100, 1_000]),
+        chunks_us=st.lists(
+            st.integers(min_value=1, max_value=150_000), min_size=1, max_size=30
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_armed_timer_any_chunking_identical(
+        self, os_name, instrumented, period_ms, chunks_us
+    ):
+        chunks = [us / 1000.0 for us in chunks_us]
+        runs = [
+            _app_run(os_name, ff, instrumented=instrumented, period_ms=period_ms,
+                     chunks_ms=chunks)
+            for ff in (True, False)
+        ]
+        assert _system_state(*runs[0]) == _system_state(*runs[1])
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_finished_threads_timer_reaped_on_the_same_tick(self, os_name, instrumented):
+        """The thread exits with its timer armed; the first tick after
+        that reaps it — inside a span with fast forward on."""
+        reaped = {}
+        for ff in (True, False):
+            system, instrument = _app_run(
+                os_name, ff, instrumented=instrumented, period_ms=40,
+                exit_after=3, sim_ms=100.0,
+            )
+            assert system.kernel._timers  # exited at 120 ms, not yet reaped
+            system.run_for(ns_from_ms(3_000.0))
+            assert not system.kernel._timers
+            reaped[ff] = _system_state(system, instrument)
+        assert reaped[True] == reaped[False]
+
+    def test_word_background_timer_identical(self):
+        """Word's lazy background drain arms a 100 ms timer after input
+        and kills it once the queue is empty."""
+        from repro.apps import WordApp
+
+        states = {}
+        for ff in (True, False):
+            set_fast_forward_default(ff)
+            system = boot("nt40")
+            app = WordApp(system)
+            app.start(foreground=True)
+            instrument = IdleLoopInstrument(system)
+            instrument.install()
+            _reset_high_water(system)
+            system.run_for(ns_from_ms(50))
+            for char in "spanning ticks":
+                system.machine.keyboard.keystroke(char)
+                system.run_for(ns_from_ms(150))
+            armed_after_input = bool(system.kernel._timers)
+            system.run_for(ns_from_ms(20_000))
+            states[ff] = (armed_after_input, _system_state(system, instrument))
+            if ff:
+                assert app.bg_units_run > 0
+        assert states[True][0], "Word never armed its background timer"
+        assert states[True] == states[False]
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    def test_win95_background_on_tick_instant_spanned(self, monkeypatch, instrumented):
+        """55 ms is 5.5 clock periods: every other background instant is
+        a tick instant, where the background DPC runs first and the tick
+        queues the tick DPC behind it.  Spans cover both phases."""
+        from repro.winsys.kernel import Kernel
+
+        live = []
+        handler = Kernel._idle_background_tick
+
+        def watched(kernel):
+            live.append(kernel.sim.now)
+            handler(kernel)
+
+        monkeypatch.setattr(Kernel, "_idle_background_tick", watched)
+        on, on_instr = _idle_run("win95", True, instrumented=instrumented, sim_ms=2_000.0)
+        on_live = list(live)
+        live.clear()
+        off, off_instr = _idle_run("win95", False, instrumented=instrumented, sim_ms=2_000.0)
+        period = ns_from_ms(10)
+        on_tick = [t for t in live if t % period == 0]
+        assert len(live) == 36 and len(on_tick) == 18
+        assert all(t < ns_from_ms(200) for t in on_live), on_live
+        assert _system_state(on, on_instr) == _system_state(off, off_instr)
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    def test_win95_background_after_on_tick_instants_identical(self, instrumented):
+        """Runs that stop right after a shared tick/background instant
+        expose the re-keyed tick and background entries."""
+        chunks = [112.0] + [110.0] * 17
+        on, on_instr = _idle_run("win95", True, instrumented=instrumented, chunks_ms=chunks)
+        off, off_instr = _idle_run("win95", False, instrumented=instrumented, chunks_ms=chunks)
+        assert _system_state(on, on_instr) == _system_state(off, off_instr)
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    @pytest.mark.parametrize(
+        "os_name, crowd_ms, due_ms",
+        [("nt40", 20.5, 48.0), ("win95", 50.5, 56.0)],
+        ids=["quiet-ticks-only", "background-only"],
+    )
+    def test_crowded_span_sets_the_depth_peak(
+        self, os_name, crowd_ms, due_ms, instrumented
+    ):
+        """Foreign entries pending only around one short span (quiet
+        ticks 30 and 40 ms; the 55 ms background episode) make that
+        span's episodes the run's calendar-depth peak."""
+        states = {}
+        for ff in (True, False):
+            set_fast_forward_default(ff)
+            system = boot(os_name)
+            instrument = None
+            if instrumented:
+                instrument = IdleLoopInstrument(system)
+                instrument.install()
+            _reset_high_water(system)
+            sim = system.sim
+
+            def crowd():
+                for _ in range(3):
+                    sim.schedule_at(ns_from_ms(due_ms), lambda: None)
+
+            sim.schedule_at(ns_from_ms(crowd_ms), crowd)
+            system.run_for(ns_from_ms(500.0))
+            states[ff] = _system_state(system, instrument)
+        assert states[True] == states[False]
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            # Background instants inside elongated segments and tick
+            # episodes: the span stops before the next periodic event.
+            {"idle_background_period_ns": 10_300_000},
+            # Shorter than a clock period: on a shared instant the tick
+            # was armed first and runs first (not spanned).
+            {"idle_background_period_ns": 5_000_000},
+            # A background DPC shorter than the clock ISR: the tick's
+            # DPCs would not queue behind it (not spanned).
+            {"idle_background_cycles": 300},
+            # Empty DPCs: the preempted segment's cancelled completion
+            # can outlive the resumed remainder (not spanned).
+            {"housekeeping_cycles": 0, "idle_background_cycles": 1},
+        ],
+        ids=["inside-episodes", "tick-first", "short-dpc", "empty-dpcs"],
+    )
+    def test_background_variants_identical(self, variant, instrumented):
+        import dataclasses
+
+        from repro.winsys import PERSONALITIES as OS_PERSONALITIES
+        from repro.winsys.system import WindowsSystem
+
+        personality = dataclasses.replace(OS_PERSONALITIES["win95"], **variant)
+        states = {}
+        for ff in (True, False):
+            set_fast_forward_default(ff)
+            system = WindowsSystem(personality).boot()
+            instrument = None
+            if instrumented:
+                instrument = IdleLoopInstrument(system)
+                instrument.install()
+            _reset_high_water(system)
+            # Stop 2 ms after every tick: the calendar then shows the
+            # keys the last shared instant's re-arms were given.
+            for chunk_ms in [12.0] + [10.0] * 298:
+                system.run_for(ns_from_ms(chunk_ms))
+                states.setdefault(ff, []).append(_system_state(system, instrument))
+            if ff and instrumented:
+                assert _spanned_events(system) > 0
+        assert states[True] == states[False]
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_episode_overrunning_the_next_tick_falls_back(self, os_name, instrumented):
+        """Housekeeping longer than a clock period would still run when
+        the next tick fires: those episodes stay per-tick."""
+        import dataclasses
+
+        from repro.winsys import PERSONALITIES as OS_PERSONALITIES
+
+        slow = dataclasses.replace(
+            OS_PERSONALITIES[os_name], housekeeping_cycles=1_050_000
+        )
+        states = {}
+        for ff in (True, False):
+            set_fast_forward_default(ff)
+            from repro.winsys.system import WindowsSystem
+
+            system = WindowsSystem(slow).boot()
+            instrument = None
+            if instrumented:
+                instrument = IdleLoopInstrument(system)
+                instrument.install()
+            _reset_high_water(system)
+            system.run_for(ns_from_ms(3_000.0))
+            states[ff] = _system_state(system, instrument)
+            if ff:
+                assert _spanned_events(system) > 0
+                # Every housekeeping tick runs live.
+                assert _live_events(system) > 300 // 10 * 5
+        assert states[True] == states[False]
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_episode_overrunning_the_limit_falls_back(self, os_name, instrumented):
+        """A foreign entry due inside a housekeeping episode (or a
+        background one) bounds the span just before that episode."""
+        states = {}
+        for ff in (True, False):
+            set_fast_forward_default(ff)
+            system = boot(os_name)
+            instrument = None
+            if instrumented:
+                instrument = IdleLoopInstrument(system)
+                instrument.install()
+            _reset_high_water(system)
+            for due_us in (100_050, 200_004, 330_100, 440_003):
+                system.sim.schedule_at(due_us * 1_000, lambda: None)
+            system.run_for(ns_from_ms(1_000.0))
+            states[ff] = _system_state(system, instrument)
+        assert states[True] == states[False]
+
+    @pytest.mark.parametrize("os_name", PERSONALITIES)
+    def test_requeue_jitter_keeps_preempting_episodes_per_tick(self, os_name):
+        """A requeue-jitter source draws at every front re-queue: spans
+        may not preempt the idle thread on its behalf."""
+        import random as _random
+
+        states = {}
+        for ff in (True, False):
+            set_fast_forward_default(ff)
+            system = boot(os_name)
+            instrument = IdleLoopInstrument(system)
+            instrument.install()
+            rng = _random.Random(7)
+            system.kernel.scheduler.set_requeue_jitter(lambda t: rng.random() < 0.5)
+            _reset_high_water(system)
+            system.run_for(ns_from_ms(2_000.0))
+            states[ff] = (_system_state(system, instrument), rng.random())
+        assert states[True] == states[False]
 
 
 class TestTickSpanObservability:
@@ -507,9 +868,13 @@ class TestTickSpanObservability:
         monkeypatch.setattr(Kernel, "_span_ticks", lambda *args, **kwargs: None)
         per_tick = self._observed_run(True, trace=False, metrics=True)
         assert _spanned_events(per_tick[0]) == 0
+        counters = spanned[2]["counters"]
+        assert counters["repro_sim_dpcs_total"]["samples"][0]["value"] > 100
+        switches = counters["repro_sim_context_switches_total"]["samples"]
+        assert {sample["labels"]["reason"] for sample in switches} == {"preempt"}
         assert spanned[2] == per_tick[2]
-        assert _system_state(spanned[0], spanned[1]) == _system_state(
-            per_tick[0], per_tick[1]
+        assert _system_state(spanned[0], spanned[1], True) == _system_state(
+            per_tick[0], per_tick[1], True
         )
         # Against the slow path, only the fast-forward counters differ.
         slow = self._observed_run(False, trace=False, metrics=True)
@@ -519,6 +884,29 @@ class TestTickSpanObservability:
             if "fast_forward" not in name
         }
         assert strip(spanned[2]) == strip(slow[2])
+
+    @pytest.mark.parametrize("instrumented", [True, False], ids=["instrument", "bare"])
+    def test_metrics_match_per_tick_with_armed_timer(self, monkeypatch, instrumented):
+        """Tick DPCs, timer firings and the app's own dispatches: the
+        metrics snapshot and every counter match the per-tick path."""
+        from repro.obs import observed
+        from repro.winsys.kernel import Kernel
+
+        def run():
+            with observed(trace=False, metrics=True) as session:
+                system, instrument = _app_run(
+                    "nt40", True, instrumented=instrumented, period_ms=100,
+                    sim_ms=3_000.0,
+                )
+                snapshot = session.metrics_snapshot()
+            return snapshot, _system_state(system, instrument, True), system
+
+        spanned = run()
+        assert _spanned_events(spanned[2]) > 0
+        monkeypatch.setattr(Kernel, "_span_ticks", lambda *args, **kwargs: None)
+        per_tick = run()
+        assert _spanned_events(per_tick[2]) == 0
+        assert spanned[:2] == per_tick[:2]
 
     def test_sinkless_session_wires_no_sink_hooks(self):
         from repro.obs import observed
@@ -544,25 +932,52 @@ class TestTickSpanEngine:
         sim = Simulator()
         hid = sim.register_handler(lambda: None)
         windows = []
-        sim.schedule(10, lambda: windows.append(sim.tick_span_window(hid)))
+        sim.schedule(10, lambda: windows.append(sim.tick_span_window((hid,))))
         sim.schedule_kind_at(1_000, hid)
         sim.run(until_ns=horizon, until=until, max_events=max_events)
         return windows
 
     def test_window_bounded_by_horizon(self):
-        assert self._clocked() == [(1_000, 50_000)]
+        assert self._clocked() == [(50_000, [(1_000, 1)])]
 
     def test_window_bounded_by_next_entry(self):
         sim = Simulator()
         hid = sim.register_handler(lambda: None)
         windows = []
-        sim.schedule(10, lambda: windows.append(sim.tick_span_window(hid)))
+        sim.schedule(10, lambda: windows.append(sim.tick_span_window((hid,))))
         sim.schedule_kind_at(1_000, hid)
         cancelled = sim.schedule(7_000, lambda: None)
         cancelled.cancel()  # a cancelled entry still bounds the span
         sim.schedule(9_000, lambda: None)
         sim.run(until_ns=50_000)
-        assert windows == [(1_000, 6_999)]
+        assert windows == [(6_999, [(1_000, 1)])]
+
+    def test_window_passes_over_every_periodic_source(self):
+        sim = Simulator()
+        tick = sim.register_handler(lambda: None)
+        background = sim.register_handler(lambda: None)
+        other = sim.register_handler(lambda: None)
+        windows = []
+        sim.schedule(10, lambda: windows.append(sim.tick_span_window((tick, background))))
+        sim.schedule_kind_at(3_000, tick)
+        sim.schedule_kind_at(2_000, background)  # the head need not be the tick
+        sim.schedule_kind_at(8_000, other)
+        for _ in range(6):  # deepen the heap: the sources sit below its root
+            sim.schedule(20_000, lambda: None)
+        sim.run(until_ns=50_000)
+        assert windows == [(7_999, [(3_000, 1), (2_000, 2)])]
+
+    def test_window_reports_sources_past_other_work_as_none(self):
+        sim = Simulator()
+        tick = sim.register_handler(lambda: None)
+        background = sim.register_handler(lambda: None)
+        windows = []
+        sim.schedule(10, lambda: windows.append(sim.tick_span_window((tick, background))))
+        sim.schedule_kind_at(1_000, tick)
+        sim.schedule(1_500, lambda: None)
+        sim.schedule_kind_at(2_000, background)
+        sim.run(until_ns=50_000)
+        assert windows == [(1_499, [(1_000, 1), None])]
 
     def test_no_window_under_predicate_or_event_budget(self):
         assert self._clocked(until=lambda: False) == [None]
@@ -572,10 +987,10 @@ class TestTickSpanEngine:
         sim = Simulator()
         hid = sim.register_handler(lambda: None)
         sim.schedule_kind_at(1_000, hid)
-        assert sim.tick_span_window(hid) is None  # not inside run()
+        assert sim.tick_span_window((hid,)) is None  # not inside run()
         other = sim.register_handler(lambda: None)
         windows = []
-        sim.schedule(10, lambda: windows.append(sim.tick_span_window(other)))
+        sim.schedule(10, lambda: windows.append(sim.tick_span_window((other,))))
         sim.run(until_ns=5_000)
         assert windows == [None]
 
@@ -585,10 +1000,10 @@ class TestTickSpanEngine:
         hid = sim.register_handler(lambda: fired.append((sim.now, sim._seq)))
 
         def span():
-            tick_ns, limit = sim.tick_span_window(hid)
-            assert (tick_ns, limit) == (1_000, 40_000)
+            limit, keys = sim.tick_span_window((hid,))
+            assert (limit, keys) == (40_000, [(1_000, 1)])
             sim.commit_tick_span(
-                tick_ns=31_000, tick_seq=sim._seq + 5, now_ns=20_500,
+                [(31_000, sim._seq + 5, hid)], now_ns=20_500,
                 seq=sim._seq + 6, events=9, depth_peak=7,
             )
 
@@ -602,6 +1017,46 @@ class TestTickSpanEngine:
         assert sim.events_executed == 1 + 9 + 1
         assert sim.calendar_high_water == 7
 
+    def test_commit_rekeys_every_source_in_key_order(self):
+        sim = Simulator()
+        fired = []
+        tick = sim.register_handler(lambda: fired.append(("tick", sim.now)))
+        background = sim.register_handler(lambda: fired.append(("bg", sim.now)))
+
+        def span():
+            limit, keys = sim.tick_span_window((tick, background))
+            assert keys == [(1_000, 1), (1_000, 2)]
+            seq = sim._seq
+            # Both land on one instant; the lower seq must pop first.
+            sim.commit_tick_span(
+                [(5_000, seq + 3, tick), (5_000, seq + 1, background)],
+                now_ns=4_000, seq=seq + 4, events=6, depth_peak=0,
+            )
+
+        sim.schedule(10, span)
+        sim.schedule_kind_at(1_000, tick)
+        sim.schedule_kind_at(1_000, background)
+        sim.run(until_ns=40_000)
+        assert fired == [("bg", 5_000), ("tick", 5_000)]
+        assert sim.now == 40_000
+
+    def test_commit_refuses_handlers_it_did_not_window(self):
+        sim = Simulator()
+        tick = sim.register_handler(lambda: None)
+        other = sim.register_handler(lambda: None)
+        errors = []
+
+        def span():
+            try:
+                sim.commit_tick_span([(9_000, sim._seq, other)], 2_000, sim._seq + 1, 1, 0)
+            except SimulationError as exc:
+                errors.append(exc)
+
+        sim.schedule(10, span)
+        sim.schedule_kind_at(1_000, tick)
+        sim.run(until_ns=1_050)
+        assert len(errors) == 1
+
     def test_commit_refuses_to_cross_horizon(self):
         sim = Simulator()
         hid = sim.register_handler(lambda: None)
@@ -609,7 +1064,9 @@ class TestTickSpanEngine:
 
         def span():
             try:
-                sim.commit_tick_span(1_200, sim._seq, 1_100, sim._seq + 1, 2, 0)
+                sim.commit_tick_span(
+                    [(1_200, sim._seq, hid)], 1_100, sim._seq + 1, 2, 0
+                )
             except SimulationError as exc:
                 errors.append(exc)
 

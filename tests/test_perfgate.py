@@ -59,6 +59,19 @@ class TestCollect:
         assert entry["sessions_per_s"] == pytest.approx(80.0)
         assert entry["events_per_s"] == pytest.approx(320.0)
 
+    def test_live_events_pass_through_as_a_count(self):
+        metrics = collect_metrics(
+            _raw({REFERENCE: 0.08, "test_idle": 0.004}, {"test_idle": {"live_events": 18}})
+        )
+        assert metrics["benchmarks"]["test_idle"]["live_events"] == 18
+
+    def test_live_events_growth_fails(self):
+        base = {"benchmarks": {"test_idle": {"live_events": 100}}}
+        more = {"benchmarks": {"test_idle": {"live_events": 604}}}
+        problems = compare_metrics(more, base)
+        assert any("live_events" in p for p in problems)
+        assert compare_metrics(base, more) == []
+
     def test_session_rate_regression_fails(self):
         base = {"benchmarks": {"test_fleet": {"sessions_per_s": 80.0}}}
         slow = {"benchmarks": {"test_fleet": {"sessions_per_s": 50.0}}}
